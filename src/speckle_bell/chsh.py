@@ -10,7 +10,7 @@ further normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .polarization import (
     orthogonal_complement,
     waveplate_detector1_angles,
 )
-from .pairsource import _check_visibility, joint_probability
+from .pairsource import _check_visibility, joint_probability, joint_rates
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -52,10 +52,9 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class CorrelationValue:
-    """Correlation E of a basis pair plus the four rates that produced it."""
+    """Correlation E of a basis pair."""
 
     e: float
-    rates: tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -68,11 +67,16 @@ class SRecord:
     bob_bases: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SEnumeration:
-    """Result of a full enumeration: records plus the skipped-pair count."""
+    """S and sigma over every ordered pair of defined Bob bases: entry [i, j]
+    of the (D, D) grids belongs to (K, K') = (labels[i], labels[j]), 1-based,
+    so row-major order is K-major.  Pairs with an undefined basis are skipped."""
 
-    records: list[SRecord] = field(repr=False)
+    labels: np.ndarray
+    s: np.ndarray
+    sigma: np.ndarray
+    alice_labels: tuple
     skipped: int = 0
 
 
@@ -112,7 +116,7 @@ def correlation(
             f"all four joint rates vanish for bases {a_basis.label!r}, {b_basis.label!r}"
         )
     num = ((r11 - r12) - r21) + r22
-    return CorrelationValue(num / den, (r11, r12, r21, r22))
+    return CorrelationValue(num / den)
 
 
 def s_value(
@@ -137,18 +141,22 @@ def rate_matrix(
     nu: float,
 ) -> np.ndarray:
     """Joint rates, shape (4, N): rows are A1, A2, A'1, A'2 outcomes."""
+    nu = _check_visibility(nu)
     a, ap = alice_pair
-    states = [a.first.state, a.second.state, ap.first.state, ap.second.state]
-    return np.array(
-        [[joint_probability(st, p, nu) for p in bob_projectors] for st in states]
+    alice = [a.first.state, a.second.state, ap.first.state, ap.second.state]
+    bob = [p.state for p in bob_projectors]
+    return joint_rates(
+        np.array([[st.theta] for st in alice]), np.array([[st.phi] for st in alice]),
+        np.array([st.theta for st in bob]), np.array([st.phi for st in bob]),
+        np.array([p.weight for p in bob_projectors]), nu,
     )
 
 
 def basis_index_pairs(n_projectors: int) -> tuple[np.ndarray, np.ndarray]:
     """Projector index arrays (i, j) of the unordered bases, in label order."""
-    idx = [(i, j) for i in range(n_projectors) for j in range(i + 1, n_projectors)]
-    arr = np.array(idx, dtype=np.intp)
-    return arr[:, 0], arr[:, 1]
+    if n_projectors < 2:
+        raise ValueError("need at least 2 projectors to enumerate S values")
+    return np.triu_indices(n_projectors, 1)
 
 
 def correlations_from_rates(
@@ -169,6 +177,12 @@ def correlations_from_rates(
     return e, defined
 
 
+def s_combination(e_a: np.ndarray, e_ap: np.ndarray) -> np.ndarray:
+    """|E(A,B_K) + E(A',B_K) + E(A,B_K') - E(A',B_K')| over all (K, K'), in
+    :func:`s_value`'s arithmetic order, from per-basis E of A and A'."""
+    return np.abs(((e_a[:, None] + e_ap[:, None]) + e_a[None, :]) - e_ap[None, :])
+
+
 def s_grid(
     alice_pair: tuple[MeasurementBasis, MeasurementBasis],
     bob_projectors: list[Projector],
@@ -179,16 +193,23 @@ def s_grid(
     Also returns the per-basis defined mask; rows/columns of undefined
     bases are NaN.  Entry orderings and arithmetic match :func:`s_value`.
     """
-    nu = _check_visibility(nu)
-    if len(bob_projectors) < 2:
-        raise ValueError("need at least 2 projectors to enumerate S values")
-    rates = rate_matrix(alice_pair, bob_projectors, nu)
     idx_i, idx_j = basis_index_pairs(len(bob_projectors))
+    rates = rate_matrix(alice_pair, bob_projectors, nu)
     e_a, def_a = correlations_from_rates(rates, 0, 1, idx_i, idx_j)
     e_ap, def_ap = correlations_from_rates(rates, 2, 3, idx_i, idx_j)
-    defined = def_a & def_ap
-    s = np.abs(((e_a[:, None] + e_ap[:, None]) + e_a[None, :]) - e_ap[None, :])
-    return s, defined
+    return s_combination(e_a, e_ap), def_a & def_ap
+
+
+def restrict_to_defined(alice_pair, s, sigma, defined: np.ndarray) -> SEnumeration:
+    """The (K, K') entries of (B, B) S and sigma grids whose bases are both
+    defined, as an enumeration."""
+    keep = np.flatnonzero(defined)
+    cells = np.ix_(keep, keep)
+    a, ap = alice_pair
+    return SEnumeration(
+        keep + 1, s[cells], sigma[cells], (a.label, ap.label),
+        defined.size * defined.size - keep.size * keep.size,
+    )
 
 
 def enumerate_s(
@@ -198,32 +219,11 @@ def enumerate_s(
 ) -> SEnumeration:
     """Evaluate S for every ordered pair of Bob bases, including K = K'.
 
-    Output is K-major and deterministic.  Pairs whose correlations are
-    undefined (dark-projector bases) are skipped and counted.
+    Output is K-major and deterministic, with sigma 0.  Pairs whose
+    correlations are undefined (dark-projector bases) are skipped and counted.
     """
     s, defined = s_grid(alice_pair, bob_projectors, nu)
-    a, ap = alice_pair
-    alice_labels = (a.label, ap.label)
-    n_bases = s.shape[0]
-    records = []
-    for k in range(n_bases):
-        if not defined[k]:
-            continue
-        row = s[k]
-        for kp in range(n_bases):
-            if defined[kp]:
-                records.append(
-                    SRecord(float(row[kp]), 0.0, alice_labels, (k + 1, kp + 1))
-                )
-    return SEnumeration(records, n_bases * n_bases - len(records))
-
-
-def _joint_rates_arrays(theta_a, phi_a, theta_b, phi_b, nu):
-    """Vectorized joint rates for unit-weight projectors (numpy arrays)."""
-    ca, sa = np.cos(0.5 * theta_a), np.sin(0.5 * theta_a)
-    cb, sb = np.cos(0.5 * theta_b), np.sin(0.5 * theta_b)
-    cross = np.abs(ca * cb * sa * sb) * np.cos(phi_b - phi_a)
-    return 0.5 * (ca * ca * cb * cb + sa * sa * sb * sb - 2.0 * nu * cross)
+    return restrict_to_defined(alice_pair, s, np.zeros_like(s), defined)
 
 
 def max_violation_search(nu: float, trials: int, seed: int) -> SRecord:
@@ -241,10 +241,10 @@ def max_violation_search(nu: float, trials: int, seed: int) -> SRecord:
 
     def correlations(th1, ph1, thb, phb):
         # outcome partners are the orthogonal complements on both sides
-        r11 = _joint_rates_arrays(th1, ph1, thb, phb, nu)
-        r12 = _joint_rates_arrays(th1, ph1, np.pi - thb, phb + np.pi, nu)
-        r21 = _joint_rates_arrays(np.pi - th1, ph1 + np.pi, thb, phb, nu)
-        r22 = _joint_rates_arrays(np.pi - th1, ph1 + np.pi, np.pi - thb, phb + np.pi, nu)
+        r11 = joint_rates(th1, ph1, thb, phb, 1.0, nu)
+        r12 = joint_rates(th1, ph1, np.pi - thb, phb + np.pi, 1.0, nu)
+        r21 = joint_rates(np.pi - th1, ph1 + np.pi, thb, phb, 1.0, nu)
+        r22 = joint_rates(np.pi - th1, ph1 + np.pi, np.pi - thb, phb + np.pi, 1.0, nu)
         return (((r11 - r12) - r21) + r22) / (((r11 + r12) + r21) + r22)
 
     best_s = -1.0
@@ -272,12 +272,12 @@ def max_violation_search(nu: float, trials: int, seed: int) -> SRecord:
     return SRecord(best_s, 0.0, ("A", "A'"), (best_trial, best_trial))
 
 
-def write_srecords_csv(records: list[SRecord], path: str | Path) -> None:
-    """Dump records as ``k,kprime,aliceA,aliceAprime,s,sigma`` rows."""
-    lines = ["k,kprime,aliceA,aliceAprime,s,sigma"]
-    for r in records:
-        lines.append(
-            f"{r.bob_bases[0]},{r.bob_bases[1]},{r.alice_bases[0]},{r.alice_bases[1]},"
-            f"{r.s:.12g},{r.sigma:.12g}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_srecords_csv(enumeration: SEnumeration, path: str | Path) -> None:
+    """Dump an enumeration as ``k,kprime,aliceA,aliceAprime,s,sigma`` rows."""
+    labels = list(map(str, enumeration.labels.tolist()))
+    alice = ",".join(map(str, enumeration.alice_labels))
+    settings = [f"{k},{kp},{alice}" for k in labels for kp in labels]
+    s_text = map("{:.12g}".format, enumeration.s.ravel().tolist())
+    sigma_text = map("{:.12g}".format, enumeration.sigma.ravel().tolist())
+    rows = map(",".join, zip(settings, s_text, sigma_text))
+    Path(path).write_text("\n".join(["k,kprime,aliceA,aliceAprime,s,sigma", *rows]) + "\n")

@@ -212,15 +212,11 @@ def run_dir(out: str | Path, seed: int) -> Path:
     return path
 
 
-def chsh_enumeration(
-    cfg: ExperimentConfig, draw_index: int = 0, noiseless: bool | None = None
-) -> chsh.SEnumeration:
+def chsh_enumeration(cfg: ExperimentConfig) -> chsh.SEnumeration:
     """Full pipeline: channel, Alice draw, S enumeration (noisy or not)."""
     _, _, projectors = build_channel(cfg)
-    alice_pair = draw_alice_pair(cfg, draw_index)
-    if noiseless is None:
-        noiseless = cfg.noiseless
-    if noiseless:
+    alice_pair = draw_alice_pair(cfg)
+    if cfg.noiseless:
         return chsh.enumerate_s(alice_pair, projectors, cfg.visibility)
     return stats.noisy_enumerate(alice_pair, projectors, cfg.visibility, cfg.acquisition)
 
@@ -232,17 +228,13 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     enumeration = chsh_enumeration(cfg)
     mode = "noiseless" if cfg.noiseless else "noisy"
     print(
-        f"stage: enumeration ({len(enumeration.records)} records, "
+        f"stage: enumeration ({enumeration.s.size} records, "
         f"{enumeration.skipped} skipped, {mode}, visibility {cfg.visibility:g})"
     )
-    chsh.write_srecords_csv(enumeration.records, out / "srecords.csv")
-    rows = stats.histogram(
-        [r.s for r in enumeration.records],
-        cfg.hist_bin_width,
-        (cfg.hist_lo, cfg.hist_hi),
-    )
+    chsh.write_srecords_csv(enumeration, out / "srecords.csv")
+    rows = stats.histogram(enumeration.s, cfg.hist_bin_width, (cfg.hist_lo, cfg.hist_hi))
     stats.write_histogram_csv(rows, out / "histogram.csv")
-    report = stats.certify(enumeration.records, enumeration.skipped)
+    report = stats.certify_arrays(enumeration.s, enumeration.sigma, enumeration.skipped)
     stats.write_report_json(report, out / "report.json")
     print(
         f"stage: certification (above 2: {report.above_2}, "

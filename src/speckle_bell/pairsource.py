@@ -40,17 +40,14 @@ def _check_visibility(nu: float, name: str = "nu") -> float:
     return nu
 
 
-def _half_trig(theta: float) -> tuple[float, float]:
-    """(cos(theta/2), sin(theta/2)) with exact values at the poles.
+def _half_trig(theta):
+    """(cos(theta/2), sin(theta/2)) elementwise, with exact values at the poles.
 
-    Plain ``cos(pi/2)`` rounds to ~6e-17, which would make genuinely
-    degenerate rate denominators nonzero; pole states are exact.
-    """
-    if theta == 0.0:
-        return 1.0, 0.0
-    if theta == math.pi:
-        return 0.0, 1.0
-    return math.cos(0.5 * theta), math.sin(0.5 * theta)
+    cos(0), sin(0) and sin(pi/2) are exact, but ``cos(pi/2)`` rounds to ~6e-17,
+    which would make genuinely degenerate rate denominators nonzero; it is
+    zeroed (theta lies in [0, pi])."""
+    half = 0.5 * theta
+    return np.cos(half) * (theta != math.pi), np.sin(half)
 
 
 @dataclass(frozen=True)
@@ -105,13 +102,23 @@ class HomCurve:
         self.rates.setflags(write=False)
 
 
+def joint_rates(theta_a, phi_a, theta_b, phi_b, weight_b, nu: float):
+    """Coincidence probabilities of analyzer states ``(theta_a, phi_a)`` and
+    channel projectors ``(weight_b, theta_b, phi_b)``, broadcast elementwise.
+
+    With :attr:`Projector.weight` values and a checked ``nu``, every element
+    equals :func:`joint_probability` bit for bit."""
+    ca, sa = _half_trig(theta_a)
+    cb, sb = _half_trig(theta_b)
+    cross = np.abs(ca * cb * sa * sb) * np.cos(phi_b - phi_a)
+    return 0.5 * weight_b * (ca * ca * cb * cb + sa * sa * sb * sb - 2.0 * nu * cross)
+
+
 def joint_probability(alice: PoincareState, bob: Projector, nu: float) -> float:
     """Coincidence probability of the (alice, bob) joint projection."""
     nu = _check_visibility(nu)
-    ca, sa = _half_trig(alice.theta)
-    cb, sb = _half_trig(bob.state.theta)
-    cross = abs(ca * cb * sa * sb) * math.cos(bob.state.phi - alice.phi)
-    return 0.5 * bob.weight * (ca * ca * cb * cb + sa * sa * sb * sb - 2.0 * nu * cross)
+    b = bob.state
+    return float(joint_rates(alice.theta, alice.phi, b.theta, b.phi, bob.weight, nu))
 
 
 def relabeled(bob: Projector) -> Projector:
@@ -164,7 +171,7 @@ def contrast(alice: PoincareState, bob: Projector, nu0: float) -> float:
             "contrast undefined: alice and bob are opposite poles"
         )
     num = abs(ca * cb * sa * sb) * math.cos(bob.state.phi - alice.phi)
-    return -2.0 * nu0 * num / den
+    return float(-2.0 * nu0 * num / den)
 
 
 def hom_curve(

@@ -25,6 +25,8 @@ from .chsh import (
     UndefinedCorrelationError,
     basis_index_pairs,
     rate_matrix,
+    restrict_to_defined,
+    s_combination,
 )
 from .polarization import Projector
 
@@ -156,24 +158,18 @@ def noisy_enumerate(
     (K, K') grid, mirroring how per-setting acquisitions are reused when
     many S values are extracted from one data set.
     """
-    if len(bob_projectors) < 2:
-        raise ValueError("need at least 2 projectors to enumerate S values")
-    rates = rate_matrix(alice_pair, bob_projectors, nu)
     idx_i, idx_j = basis_index_pairs(len(bob_projectors))
+    rates = rate_matrix(alice_pair, bob_projectors, nu)
     n_bases = idx_i.shape[0]
 
     e = np.full((2, n_bases), np.nan)
     var = np.zeros((2, n_bases))
     defined = np.ones(n_bases, dtype=bool)
     for a_idx, (row1, row2) in enumerate(((0, 1), (2, 3))):
-        for k in range(n_bases):
-            i, j = int(idx_i[k]), int(idx_j[k])
-            stream = record_stream(cfg.seed, a_idx, k)
-            rec = sample_counts(
-                (rates[row1, i], rates[row1, j], rates[row2, i], rates[row2, j]),
-                cfg,
-                stream,
-            )
+        cells = zip(rates[row1, idx_i].tolist(), rates[row1, idx_j].tolist(),
+                    rates[row2, idx_i].tolist(), rates[row2, idx_j].tolist())
+        for k, cell in enumerate(cells):
+            rec = sample_counts(cell, cfg, record_stream(cfg.seed, a_idx, k))
             try:
                 e[a_idx, k], sigma = e_with_sigma(rec)
             except UndefinedCorrelationError:
@@ -181,25 +177,9 @@ def noisy_enumerate(
                 continue
             var[a_idx, k] = sigma * sigma
 
-    e_a, e_ap = e[0], e[1]
-    v_a, v_ap = var[0], var[1]
-    s = np.abs(((e_a[:, None] + e_ap[:, None]) + e_a[None, :]) - e_ap[None, :])
+    v_a, v_ap = var
     sig = np.sqrt(((v_a[:, None] + v_ap[:, None]) + v_a[None, :]) + v_ap[None, :])
-
-    a, ap = alice_pair
-    alice_labels = (a.label, ap.label)
-    records = []
-    for k in range(n_bases):
-        if not defined[k]:
-            continue
-        for kp in range(n_bases):
-            if defined[kp]:
-                records.append(
-                    SRecord(
-                        float(s[k, kp]), float(sig[k, kp]), alice_labels, (k + 1, kp + 1)
-                    )
-                )
-    return SEnumeration(records, n_bases * n_bases - len(records))
+    return restrict_to_defined(alice_pair, s_combination(e[0], e[1]), sig, defined)
 
 
 def certify(records: Sequence[SRecord], skipped: int = 0) -> CertificationReport:
@@ -217,6 +197,22 @@ def certify(records: Sequence[SRecord], skipped: int = 0) -> CertificationReport
             if r.sigma > 0.0 and (r.s - 2.0) / r.sigma > 5.0:
                 above5 += 1
     return CertificationReport(len(records), above, above5, max_s, max_sigma, int(skipped))
+
+
+def certify_arrays(s: np.ndarray, sigma: np.ndarray, skipped: int = 0) -> CertificationReport:
+    """:func:`certify` over S and sigma arrays of one shape, in row-major order:
+    ``max_s`` is the first maximal S, and both maxima read 0 unless some S > 0."""
+    s, sigma = np.ravel(s), np.ravel(sigma)
+    top = int(np.argmax(s)) if s.size else 0
+    max_s, max_sigma = 0.0, 0.0
+    if s.size and s[top] > 0.0:
+        max_s, max_sigma = float(s[top]), float(sigma[top])
+    above = s > 2.0
+    resolved = above & (sigma > 0.0)
+    above5 = np.count_nonzero((s[resolved] - 2.0) / sigma[resolved] > 5.0)
+    return CertificationReport(
+        s.size, int(np.count_nonzero(above)), int(above5), max_s, max_sigma, int(skipped)
+    )
 
 
 def histogram(

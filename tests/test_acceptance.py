@@ -168,7 +168,7 @@ def test_criterion_6_fig4_replica():
         t0 = time.time()
         cfg = cli.build_config(args_for(seed))
         enum = cli.chsh_enumeration(cfg)
-        rep = stats.certify(enum.records, enum.skipped)
+        rep = stats.certify_arrays(enum.s, enum.sigma, enum.skipped)
         if t_first is None:
             t_first = time.time() - t0
         assert rep.total == 189_225
@@ -178,12 +178,13 @@ def test_criterion_6_fig4_replica():
             fractions_ok &= 0.001 <= fraction <= 0.15
 
         cfg0 = cli.build_config(args_for(seed, nu=0.0))
-        rep0 = stats.certify(cli.chsh_enumeration(cfg0).records)
+        enum0 = cli.chsh_enumeration(cfg0)
+        rep0 = stats.certify_arrays(enum0.s, enum0.sigma)
         per_seed_ok &= rep0.above_2_by_5sigma <= 5
 
     cfg_exact = cli.build_config(args_for(0, noiseless=True))
     enum_exact = cli.chsh_enumeration(cfg_exact)
-    max_exact = max(r.s for r in enum_exact.records)
+    max_exact = float(enum_exact.s.max())
     ok = (
         nonzero >= 19
         and fractions_ok

@@ -156,7 +156,7 @@ def test_enumerate_counts_n30():
     projectors = bob_projector_set(tm, list(range(15)), 0)
     rng = np.random.default_rng(33)
     enum = enumerate_s(random_alice_pair(rng), projectors, 0.93)
-    assert len(enum.records) == 189_225
+    assert enum.s.size == 189_225
     assert enum.skipped == 0
 
 
@@ -164,11 +164,11 @@ def test_enumerate_counts_small():
     rng = np.random.default_rng(34)
     alice = random_alice_pair(rng)
     enum2 = enumerate_s(alice, random_projectors(rng, 2), 1.0)
-    assert len(enum2.records) == 1
-    assert enum2.records[0].bob_bases == (1, 1)
-    assert enum2.records[0].s <= 2 + 1e-12
+    assert enum2.s.size == 1
+    assert enum2.labels.tolist() == [1]  # the single pair (1, 1)
+    assert enum2.s[0, 0] <= 2 + 1e-12
     enum3 = enumerate_s(alice, random_projectors(rng, 3), 1.0)
-    assert len(enum3.records) == 9
+    assert enum3.s.size == 9
 
 
 def test_enumerate_requires_two_projectors():
@@ -184,13 +184,13 @@ def test_enumerate_matches_scalar_s_value():
     bases = build_bob_bases(projectors)
     enum = enumerate_s(alice, projectors, 0.7)
     n = len(bases)
-    assert len(enum.records) == n * n
+    assert enum.s.size == n * n
     # bit-identical to the scalar path, K-major ordering
-    for rec in enum.records[:: max(1, n * n // 50)]:
-        k, kp = rec.bob_bases
+    for row in range(0, n * n, max(1, n * n // 50)):
+        k, kp = enum.labels[row // n], enum.labels[row % n]
         ref = s_value(alice[0], alice[1], bases[k - 1], bases[kp - 1], 0.7)
-        assert rec.s == ref.s
-        assert rec.bob_bases == ref.bob_bases
+        assert enum.s.flat[row] == ref.s
+        assert (k, kp) == ref.bob_bases
 
 
 def test_enumerate_deterministic():
@@ -199,20 +199,23 @@ def test_enumerate_deterministic():
     projectors = random_projectors(rng, 8)
     first = enumerate_s(alice, projectors, 0.93)
     second = enumerate_s(alice, projectors, 0.93)
-    assert first.records == second.records
+    assert np.array_equal(first.labels, second.labels)
+    assert np.array_equal(first.s, second.s)
+    assert np.array_equal(first.sigma, second.sigma)
+    assert first.alice_labels == second.alice_labels == ("A", "A'")
 
 
 def test_enumerate_tsirelson_bound():
     rng = np.random.default_rng(38)
     for nu in (0.0, 0.5, 1.0):
         enum = enumerate_s(random_alice_pair(rng), random_projectors(rng, 10), nu)
-        assert max(r.s for r in enum.records) <= TSIRELSON + 1e-9
+        assert enum.s.max() <= TSIRELSON + 1e-9
 
 
 def test_enumerate_separable_classical_bound():
     rng = np.random.default_rng(39)
     enum = enumerate_s(random_alice_pair(rng), random_projectors(rng, 12), 0.0)
-    assert max(r.s for r in enum.records) <= 2 + 1e-9
+    assert enum.s.max() <= 2 + 1e-9
 
 
 def test_enumerate_skips_dark_pairs():
@@ -225,10 +228,9 @@ def test_enumerate_skips_dark_pairs():
     enum = enumerate_s(random_alice_pair(rng), projectors, 1.0)
     # 6 bases; the (dark, dark) one is undefined: 36 - 25 = 11 skipped
     assert enum.skipped == 11
-    assert len(enum.records) == 25
-    labels = {rec.bob_bases for rec in enum.records}
+    assert enum.s.size == 25
     dark_label = 6  # pair (2,3) is last in lexicographic order
-    assert all(dark_label not in pair for pair in labels)
+    assert dark_label not in enum.labels.tolist()
 
 
 def test_s_grid_symmetric_inputs():
@@ -296,7 +298,7 @@ def test_srecords_csv(tmp_path):
     rng = np.random.default_rng(42)
     enum = enumerate_s(random_alice_pair(rng), random_projectors(rng, 3), 0.93)
     path = tmp_path / "s.csv"
-    write_srecords_csv(enum.records, path)
+    write_srecords_csv(enum, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "k,kprime,aliceA,aliceAprime,s,sigma"
     assert len(lines) == 10

@@ -1,0 +1,81 @@
+"""Golden output digests: the SHA-256 of every file each subcommand writes
+under a small fixed config and seed.
+
+Unlike the reproducibility tests, which compare two runs of the same code,
+these pin the bytes across code changes.  Every digest depends on the
+channel matrix, whose QR factorization comes from the platform's LAPACK; a
+digest that differs on another machine is a finding to record, not a
+tolerance to add.
+"""
+
+import hashlib
+
+import pytest
+
+from speckle_bell.cli import main
+
+SMALL = """
+m_spatial = 12
+n_positions = 4
+visibility = 0.93
+"""
+
+# Few counts per cell at nu = 0: empty cells give sigma-0 records, bases
+# with no counts at all are skipped, and the report's max_s_sigma is 0.
+SEPARABLE_LOW_COUNT = """
+m_spatial = 12
+n_positions = 4
+visibility = 0
+integration_time = 0.3
+"""
+
+CASES = {
+    "chsh-noisy": (SMALL, ["chsh"]),
+    "chsh-noiseless": (SMALL, ["chsh", "--noiseless"]),
+    "chsh-separable-low-count": (SEPARABLE_LOW_COUNT, ["chsh"]),
+    "sweep": (SMALL, ["sweep", "--nus", "0,0.93,1", "--alice-draws", "3"]),
+    "hom": (SMALL, ["hom", "--position", "2", "--bob-detector", "2",
+                    "--alice-hwp-deg", "10", "--alice-qwp-deg", "30"]),
+    "speckle": (SMALL, ["speckle", "--input-pol", "R"]),
+    "tm": (SMALL, ["tm"]),
+}
+
+SEED = "1"
+
+GOLDEN = {
+    "chsh-noiseless/histogram.csv": "0a5eb4a386325763123e7e47df2e3a6fa9abb4e6f870874e99363bd6a16f6638",
+    "chsh-noiseless/report.json": "2b60515ec79161cdb02afeb034400b6194b330a62290e850c8a371a20a186a10",
+    "chsh-noiseless/srecords.csv": "dd264ba2ad3bdf3ca432923785f37a3ef2705b8e27b99075923ef915fa6c64f4",
+    "chsh-noisy/histogram.csv": "f5ef00122e7b96836da5e3637a2f3b5b79744c97529e62d27430f7afb53821d2",
+    "chsh-noisy/report.json": "00c900d0041c879c67033e09c5ad4a5bab0bc492fc83e10fcabb879defdde710",
+    "chsh-noisy/srecords.csv": "8c4c65d664f797633692d2d02673ee7144cec86df474ce84cd4204caa8abbb9a",
+    "chsh-separable-low-count/histogram.csv": "2fec7e56bbe6a1d2e9e55be7e8814232765eb6bc3920d4527de1d0a11b69a9af",
+    "chsh-separable-low-count/report.json": "9083125e01843e6afd4eb88c4bfbc3946f0742b574bdac6cced698116583625d",
+    "chsh-separable-low-count/srecords.csv": "dcd73fa5248fce0880bc421698bcd3132bfaab0887fbf820579d3c728af513f3",
+    "hom/hom_5.csv": "de124ce1cd598c1c99b552589dcfd1a9471a04d1f8c7f5d123e1024797329c14",
+    "speckle/speckle.csv": "5a50f3e57ffa1d5abf3f4b5aeef84c0b7d857f9cd2ff041fd1335b358e755b19",
+    "sweep/sweep_hist_nu_0.93.csv": "b22b38cd622026a0d5a52f9a39521e577ac4f69212a17b1c43efe631007db107",
+    "sweep/sweep_hist_nu_0.csv": "61c202a67e9e185532ea3ca61102295d78e707d1d6aeedc9e76430cd17cef143",
+    "sweep/sweep_hist_nu_1.csv": "e887db6669e9d19ed7e0a5d4d3be943ac2b537d70f98632f86f7d49184f470d9",
+    "sweep/sweep_summary.csv": "57211cb49f446226838a272400b91871fa33eb8d255204940173302721f6b80f",
+    "tm/tm.txt": "a98d67e0f54f324097df1cb7dda0be2c71e0e06264a4c05ca71a4d9dfec3b26f",
+}
+
+
+def run_case(tmp_path, name):
+    """Digests of the files one case writes, keyed ``<case>/<file name>``."""
+    config, argv = CASES[name]
+    path = tmp_path / "golden.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(path), "--seed", SEED, "--out", str(out)]) == 0
+    return {
+        f"{name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted((out / f"run_{SEED}").iterdir())
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digests(tmp_path, name):
+    want = {key: digest for key, digest in GOLDEN.items() if key.startswith(f"{name}/")}
+    assert run_case(tmp_path, name) == want

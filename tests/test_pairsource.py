@@ -13,6 +13,7 @@ from speckle_bell.pairsource import (
     hom_curve,
     hom_rate,
     joint_probability,
+    joint_rates,
     oracle_joint_probability,
     relabeled,
     write_hom_csv,
@@ -140,16 +141,45 @@ def test_oracle_singlet_forbids_hh():
 def test_oracle_matches_working_formula_under_relabeling():
     rng = np.random.default_rng(23)
     worst = 0.0
+    cases = []
     for _ in range(1000):
         alice = random_state(rng)
         bob = random_projector(rng)
         nu = rng.uniform(0, 1)
-        diff = abs(
-            oracle_joint_probability(alice, bob, nu)
-            - joint_probability(alice, relabeled(bob), nu)
-        )
-        worst = max(worst, diff)
+        oracle = oracle_joint_probability(alice, bob, nu)
+        worst = max(worst, abs(oracle - joint_probability(alice, relabeled(bob), nu)))
+        cases.append((alice, relabeled(bob), nu, oracle))
     assert worst < 1e-12
+
+    # the broadcast kernel on the same draws as arrays, non-unit weights
+    alice, bob, nu, oracle = zip(*cases)
+    rates = joint_rates(
+        np.array([a.theta for a in alice]),
+        np.array([a.phi for a in alice]),
+        np.array([b.state.theta for b in bob]),
+        np.array([b.state.phi for b in bob]),
+        np.array([b.weight for b in bob]),
+        np.array(nu),
+    )
+    assert np.max(np.abs(rates - np.array(oracle))) < 1e-12
+
+
+def test_joint_rates_exact_zero_at_orthogonal_poles():
+    # cos(pi/2) rounds to ~6e-17; the kernel must keep the exact pole
+    # values so that bases built from orthogonal poles stay degenerate
+    states = [PoincareState(0.0, 0.0), PoincareState(math.pi, 1.0)]
+    bobs = [Projector(0.6 + 0.2j, states[0]), Projector(1.3j, states[1])]
+    theta = np.array([st.theta for st in states])
+    phi = np.array([st.phi for st in states])
+    for nu in np.linspace(0.0, 1.0, 11):
+        rates = joint_rates(
+            theta[:, None], phi[:, None], theta[None, :], phi[None, :],
+            np.array([b.weight for b in bobs]), nu,
+        )
+        assert rates[0, 1] == 0.0 and rates[1, 0] == 0.0
+        for a, alice in enumerate(states):
+            for b, bob in enumerate(bobs):
+                assert joint_probability(alice, bob, nu) == rates[a, b]
 
 
 def test_pair_state_model_density_matrix():

@@ -18,6 +18,7 @@ from speckle_bell.stats import (
     CertificationReport,
     CountRecord,
     certify,
+    certify_arrays,
     e_with_sigma,
     histogram,
     noisy_enumerate,
@@ -168,8 +169,9 @@ def test_noisy_enumerate_deterministic_and_converging():
     cfg = AcquisitionConfig(pair_rate=500.0, integration_time=240.0, efficiency=0.5, seed=21)
     a = noisy_enumerate(alice, projectors, nu, cfg)
     b = noisy_enumerate(alice, projectors, nu, cfg)
-    assert a.records == b.records
-    assert len(a.records) == 225
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.s, b.s) and np.array_equal(a.sigma, b.sigma)
+    assert a.s.size == 225
 
     # long-integration limit approaches the exact values within 3 sigma
     exact = enumerate_s(alice, projectors, nu)
@@ -179,11 +181,9 @@ def test_noisy_enumerate_deterministic_and_converging():
         nu,
         AcquisitionConfig(pair_rate=500.0, integration_time=1e6, efficiency=0.5, seed=22),
     )
-    worst = 0.0
-    for noisy_rec, exact_rec in zip(heavy.records, exact.records):
-        assert noisy_rec.bob_bases == exact_rec.bob_bases
-        assert noisy_rec.sigma > 0
-        worst = max(worst, abs(noisy_rec.s - exact_rec.s) / noisy_rec.sigma)
+    assert np.array_equal(heavy.labels, exact.labels)
+    assert np.all(heavy.sigma > 0)
+    worst = np.max(np.abs(heavy.s - exact.s) / heavy.sigma)
     assert worst < 3.0
     light = noisy_enumerate(
         alice,
@@ -191,7 +191,7 @@ def test_noisy_enumerate_deterministic_and_converging():
         nu,
         AcquisitionConfig(pair_rate=500.0, integration_time=240.0, efficiency=0.5, seed=22),
     )
-    assert max(r.sigma for r in heavy.records) < max(r.sigma for r in light.records)
+    assert heavy.sigma.max() < light.sigma.max()
 
 
 def test_noisy_enumerate_matches_scalar_pipeline():
@@ -215,20 +215,21 @@ def test_noisy_enumerate_matches_scalar_pipeline():
             record_stream(cfg.seed, a_idx, k),
         )
 
-    for rec in enum.records[::7]:
-        k, kp = rec.bob_bases[0] - 1, rec.bob_bases[1] - 1
+    n = enum.labels.size
+    for row in range(0, n * n, 7):
+        k, kp = enum.labels[row // n] - 1, enum.labels[row % n] - 1
         ref = s_with_sigma(
             [count_record(0, k), count_record(1, k), count_record(0, kp), count_record(1, kp)]
         )
-        assert rec.s == ref.s
-        assert rec.sigma == ref.sigma
+        assert enum.s.flat[row] == ref.s
+        assert enum.sigma.flat[row] == ref.sigma
 
 
 def test_noisy_records_within_sanity_bound():
     rng = np.random.default_rng(49)
     enum = noisy_enumerate(random_alice_pair(rng), random_projectors(rng, 8), 0.93, CFG)
-    for rec in enum.records:
-        assert 0.0 <= rec.s <= 2 * math.sqrt(2) + 5 * rec.sigma
+    assert np.all(0.0 <= enum.s)
+    assert np.all(enum.s <= 2 * math.sqrt(2) + 5 * enum.sigma)
 
 
 def test_noisy_enumerate_skips_dark_bases():
@@ -240,7 +241,7 @@ def test_noisy_enumerate_skips_dark_bases():
     ]
     enum = noisy_enumerate(alice, projectors, 0.93, CFG)
     assert enum.skipped == 11
-    assert len(enum.records) == 25
+    assert enum.s.size == 25
 
 
 # ------------------------------------------------------------- certification
@@ -282,6 +283,39 @@ def test_certify_monotone_under_extension():
         assert cur.above_2_by_5sigma >= prev.above_2_by_5sigma
         assert cur.max_s >= prev.max_s
         prev = cur
+
+
+def _random_grid(seed):
+    rng = np.random.default_rng(seed)
+    shape = (rng.integers(1, 30),) * 2
+    s = rng.uniform(0.0, 3.0, shape)
+    sigma = rng.uniform(0.0, 0.2, shape)
+    sigma[rng.uniform(size=shape) < 0.2] = 0.0
+    s[rng.uniform(size=shape) < 0.1] = 2.0
+    return s, sigma
+
+
+CERTIFY_CASES = {
+    "empty": (np.zeros((0, 0)), np.zeros((0, 0))),
+    "all-zero-s": (np.zeros((3, 3)), np.full((3, 3), 0.1)),
+    "ties-at-max": (np.array([[1.0, 2.5], [2.5, 2.5]]), np.array([[0.1, 0.2], [0.3, 0.4]])),
+    "sigma-0-above-2": (np.array([[2.7, 4.0], [1.0, 4.0]]), np.zeros((2, 2))),
+    "float-above-2": (np.array([[2.0000000000000004, 2.0]]), np.array([[0.0, 0.0]])),
+    **{f"random-{seed}": _random_grid(seed) for seed in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_CASES))
+def test_certify_arrays_matches_certify(name):
+    s, sigma = CERTIFY_CASES[name]
+    rows = [
+        SRecord(a, b, ("A", "A'"), (0, 0))
+        for a, b in zip(s.ravel().tolist(), sigma.ravel().tolist())
+    ]
+    got = certify_arrays(s, sigma, skipped=3)
+    assert got == certify(rows, skipped=3)
+    assert all(type(v) is int for v in (got.total, got.above_2, got.above_2_by_5sigma, got.skipped))
+    assert type(got.max_s) is float and type(got.max_s_sigma) is float
 
 
 def test_report_validation_and_json(tmp_path):
