@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,22 +27,8 @@ from .polarization import (
 # Stream tags for deriving independent sub-seeds from the master seed.
 _TAG_TM, _TAG_ALICE, _TAG_COUNTS, _TAG_POSITIONS = 1, 2, 3, 4
 
-CONFIG_DEFAULTS: dict[str, object] = {
-    "m_spatial": 200,
-    "n_positions": 15,
-    "visibility": 0.93,
-    "coherence_length": 0.1,
-    "pair_rate": 500.0,
-    "integration_time": 240.0,
-    "efficiency": 0.5,
-    "noiseless": False,
-    "seed": 0,
-    "alice_draws": 1,
-    "input_mode": 0,
-    "hist_bin_width": 0.05,
-    "hist_lo": 0.0,
-    "hist_hi": 3.0,
-}
+# Histogram bins are held in memory; the default config uses 60.
+MAX_HIST_BINS = 10**6
 
 
 class ConfigError(ValueError):
@@ -51,15 +37,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full scenario configuration with the package defaults."""
+    """Full scenario configuration: the fields are the config-file keys, with
+    the defaults that ``speckle-bell --help`` lists.  ``--seed``, ``--nu``
+    (visibility), ``--alice-draws`` and ``--noiseless`` override them.
+    """
 
     m_spatial: int = 200
     n_positions: int = 15
     visibility: float = 0.93
     coherence_length: float = 0.1
-    acquisition: stats.AcquisitionConfig = field(
-        default_factory=stats.AcquisitionConfig
-    )
+    pair_rate: float = 500.0
+    integration_time: float = 240.0
+    efficiency: float = 0.5
     noiseless: bool = False
     seed: int = 0
     alice_draws: int = 1
@@ -68,7 +57,16 @@ class ExperimentConfig:
     hist_lo: float = 0.0
     hist_hi: float = 3.0
 
-    def validate(self) -> None:
+    @property
+    def acquisition(self) -> stats.AcquisitionConfig:
+        """Count-rate model, seeded by the counts stream of ``seed``."""
+        return stats.AcquisitionConfig(
+            self.pair_rate, self.integration_time, self.efficiency,
+            seed=derive_seed(self.seed, _TAG_COUNTS),
+        )
+
+    def validate(self) -> ExperimentConfig:
+        """Return self, or raise ConfigError naming the first bad field."""
         if self.m_spatial < 1:
             raise ConfigError(f"m_spatial must be >= 1, got {self.m_spatial}")
         if self.n_positions < 1:
@@ -91,14 +89,24 @@ class ExperimentConfig:
             raise ConfigError(f"alice_draws must be >= 1, got {self.alice_draws}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not self.hist_bin_width > 0:
-            raise ConfigError(
-                f"hist_bin_width must be positive, got {self.hist_bin_width}"
-            )
         if not self.hist_lo < self.hist_hi:
             raise ConfigError(
                 f"need hist_lo < hist_hi, got ({self.hist_lo}, {self.hist_hi})"
             )
+        # Also rejects a width <= 0, since hist_hi - hist_lo > 0.
+        if not self.hist_bin_width >= (self.hist_hi - self.hist_lo) / MAX_HIST_BINS:
+            raise ConfigError(
+                f"hist_bin_width must be positive and give at most {MAX_HIST_BINS} "
+                f"bins over [hist_lo, hist_hi], got {self.hist_bin_width}"
+            )
+        try:
+            self.acquisition
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return self
+
+
+CONFIG_DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def derive_seed(master: int, tag: int) -> int:
@@ -147,42 +155,15 @@ def parse_config_file(path: str | Path) -> dict:
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config file and command-line flags."""
-    values = dict(CONFIG_DEFAULTS)
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = args.seed
-    if getattr(args, "nu", None) is not None:
-        values["visibility"] = args.nu
+    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for flag, key in (
+        ("seed", "seed"), ("nu", "visibility"), ("alice_draws", "alice_draws")
+    ):
+        if getattr(args, flag, None) is not None:
+            values[key] = getattr(args, flag)
     if getattr(args, "noiseless", False):
         values["noiseless"] = True
-
-    seed = int(values["seed"])
-    try:
-        acquisition = stats.AcquisitionConfig(
-            pair_rate=float(values["pair_rate"]),
-            integration_time=float(values["integration_time"]),
-            efficiency=float(values["efficiency"]),
-            seed=derive_seed(seed, _TAG_COUNTS),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    cfg = ExperimentConfig(
-        m_spatial=int(values["m_spatial"]),
-        n_positions=int(values["n_positions"]),
-        visibility=float(values["visibility"]),
-        coherence_length=float(values["coherence_length"]),
-        acquisition=acquisition,
-        noiseless=bool(values["noiseless"]),
-        seed=seed,
-        alice_draws=int(values["alice_draws"]),
-        input_mode=int(values["input_mode"]),
-        hist_bin_width=float(values["hist_bin_width"]),
-        hist_lo=float(values["hist_lo"]),
-        hist_hi=float(values["hist_hi"]),
-    )
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**values).validate()
 
 
 def build_channel(cfg: ExperimentConfig):
@@ -221,8 +202,7 @@ def chsh_enumeration(cfg: ExperimentConfig) -> chsh.SEnumeration:
     return stats.noisy_enumerate(alice_pair, projectors, cfg.visibility, cfg.acquisition)
 
 
-def cmd_chsh(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
+def cmd_chsh(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = run_dir(args.out, cfg.seed)
     print(f"stage: channel ({cfg.m_spatial} spatial modes, seed {cfg.seed})")
     enumeration = chsh_enumeration(cfg)
@@ -243,16 +223,12 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_hom(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    out = run_dir(args.out, cfg.seed)
-    tm, positions, _ = build_channel(cfg)
-    if not 0 <= args.position < len(positions):
-        print(
-            f"error: position must be in [0, {len(positions)}), got {args.position}",
-            file=sys.stderr,
+def cmd_hom(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    if not 0 <= args.position < cfg.n_positions:
+        raise ConfigError(
+            f"position must be in [0, {cfg.n_positions}), got {args.position}"
         )
-        return 1
+    tm, positions, _ = build_channel(cfg)
     setting = WaveplateSetting(
         math.radians(args.alice_hwp_deg), math.radians(args.alice_qwp_deg)
     )
@@ -264,28 +240,22 @@ def cmd_hom(args: argparse.Namespace) -> int:
         alice, bob, model, cfg.visibility, npoints=args.points
     )
     k = 2 * args.position + (args.bob_detector - 1)
-    path = out / f"hom_{k}.csv"
+    path = run_dir(args.out, cfg.seed) / f"hom_{k}.csv"
     pairsource.write_hom_csv(curve, path)
     print(f"stage: hom curve written to {path}")
     print(f"contrast: {curve.contrast:.6f}")
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    if args.alice_draws is not None:
-        if args.alice_draws < 1:
-            print("error: alice_draws must be >= 1", file=sys.stderr)
-            return 1
-        cfg = replace(cfg, alice_draws=args.alice_draws)
+def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     try:
         nu_list = [float(x) for x in args.nus.split(",") if x.strip()]
     except ValueError:
-        print(f"error: bad --nus list {args.nus!r}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"bad --nus list {args.nus!r}") from None
     if not nu_list:
-        print("error: --nus list is empty", file=sys.stderr)
-        return 1
+        raise ConfigError("--nus list is empty")
+    for nu in nu_list:
+        replace(cfg, visibility=nu).validate()
     out = run_dir(args.out, cfg.seed)
     _, _, projectors = build_channel(cfg)
     print(
@@ -294,9 +264,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     summary = ["nu,draws,records_per_draw,mean_fraction_above_2"]
     edges = stats.histogram([], cfg.hist_bin_width, (cfg.hist_lo, cfg.hist_hi))
     for nu in nu_list:
-        if not 0.0 <= nu <= 1.0:
-            print(f"error: visibility must be in [0, 1], got {nu}", file=sys.stderr)
-            return 1
         accum = np.zeros(len(edges))
         above = 0
         total = 0
@@ -326,8 +293,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_speckle(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
+def cmd_speckle(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = run_dir(args.out, cfg.seed)
     tm, _, _ = build_channel(cfg)
     states = {
@@ -347,8 +313,7 @@ def cmd_speckle(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tm(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
+def cmd_tm(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = run_dir(args.out, cfg.seed)
     tm, _, _ = build_channel(cfg)
     path = out / "tm.txt"
@@ -364,14 +329,14 @@ def _config_help() -> str:
     return "\n".join(lines)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a key=value config file")
-    parser.add_argument("--seed", type=int, help="master seed (64-bit)")
-    parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument(
-        "--noiseless", action="store_true", help="skip Poisson counting noise"
-    )
-    parser.add_argument("--nu", type=float, help="override source visibility")
+def _add_subcommand(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    """Subcommand parser with the flags every subcommand reads."""
+    # Exact flag names only, so that "--nu" cannot pass for sweep's "--nus".
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
+    p.add_argument("--config", help="path to a key=value config file")
+    p.add_argument("--seed", type=int, help="master seed (64-bit)")
+    p.add_argument("--out", default="out", help="output directory (default: out)")
+    return p
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -386,12 +351,13 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("chsh", help="full CHSH enumeration, histogram and report")
-    _add_common(p)
+    p = _add_subcommand(sub, "chsh", "full CHSH enumeration, histogram and report")
+    p.add_argument("--nu", type=float, help="override source visibility")
+    p.add_argument("--noiseless", action="store_true", help="skip Poisson counting noise")
     p.set_defaults(func=cmd_chsh)
 
-    p = sub.add_parser("hom", help="delay scan for one output mode")
-    _add_common(p)
+    p = _add_subcommand(sub, "hom", "delay scan for one output mode")
+    p.add_argument("--nu", type=float, help="override source visibility")
     p.add_argument(
         "--position", type=int, default=0, help="index into the selected positions"
     )
@@ -406,8 +372,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=101, help="samples across the scan")
     p.set_defaults(func=cmd_hom)
 
-    p = sub.add_parser("sweep", help="noiseless visibility sweep, averaged histograms")
-    _add_common(p)
+    p = _add_subcommand(sub, "sweep", "noiseless visibility sweep, averaged histograms")
     p.add_argument(
         "--nus", default="0,0.93,1", help="comma-separated visibilities to sweep"
     )
@@ -416,24 +381,21 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("speckle", help="dump the output intensity pattern")
-    _add_common(p)
+    p = _add_subcommand(sub, "speckle", "dump the output intensity pattern")
     p.add_argument(
         "--input-pol", choices=("H", "V", "D", "A", "R", "L"), default="H"
     )
     p.set_defaults(func=cmd_speckle)
 
-    p = sub.add_parser("tm", help="dump the channel matrix in text form")
-    _add_common(p)
+    p = _add_subcommand(sub, "tm", "dump the channel matrix in text form")
     p.set_defaults(func=cmd_tm)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(build_config(args), args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

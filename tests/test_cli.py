@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from speckle_bell.cli import (
     ExperimentConfig,
     build_channel,
     build_config,
+    chsh_enumeration,
     derive_seed,
     main,
     make_parser,
@@ -72,9 +74,15 @@ def test_config_validation_names_field():
         ExperimentConfig(visibility=2.0).validate()
     with pytest.raises(ConfigError, match="n_positions"):
         ExperimentConfig(m_spatial=4, n_positions=10).validate()
+    with pytest.raises(ConfigError, match="efficiency"):
+        ExperimentConfig(efficiency=0.0).validate()
+    # bin counts are checked from the config, before any histogram exists
+    for width in (0.0, -0.05, 1e-9):
+        with pytest.raises(ConfigError, match="hist_bin_width"):
+            ExperimentConfig(hist_bin_width=width).validate()
 
 
-def test_flags_override_config(small_config):
+def test_flags_override_config(small_config, tmp_path):
     args = make_parser().parse_args(
         ["chsh", "--config", small_config, "--seed", "9", "--nu", "0.5", "--noiseless"]
     )
@@ -83,6 +91,34 @@ def test_flags_override_config(small_config):
     assert cfg.visibility == 0.5
     assert cfg.noiseless is True
     assert cfg.m_spatial == 8
+
+    path = tmp_path / "draws.cfg"
+    path.write_text(SMALL_CONFIG + "alice_draws = 2\n")
+    for argv, draws in ((["--alice-draws", "4"], 4), ([], 2)):
+        args = make_parser().parse_args(["sweep", "--config", str(path)] + argv)
+        assert build_config(args).alice_draws == draws
+
+
+@pytest.mark.parametrize(
+    "argv", [["tm", "--nu", "0.5"], ["speckle", "--noiseless"], ["sweep", "--nu", "0.5"]]
+)
+def test_flags_only_on_subcommands_that_read_them(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_counts_seed_follows_master_seed(tmp_path):
+    path = tmp_path / "tiny.cfg"
+    path.write_text("m_spatial = 12\nn_positions = 4\n")
+    direct = chsh_enumeration(ExperimentConfig(m_spatial=12, n_positions=4, seed=5))
+    cfg = build_config(make_parser().parse_args(["chsh", "--config", str(path), "--seed", "5"]))
+    from_cli = chsh_enumeration(cfg)
+    assert np.array_equal(direct.labels, from_cli.labels)
+    assert np.array_equal(direct.s, from_cli.s, equal_nan=True)
+    assert np.array_equal(direct.sigma, from_cli.sigma, equal_nan=True)
+    assert replace(cfg, seed=6).acquisition.seed == derive_seed(6, 3)
 
 
 def test_derive_seed_stable_and_distinct():
@@ -181,11 +217,13 @@ def test_hom_reproducible_bytes(tmp_path, small_config):
 
 
 def test_hom_invalid_position(tmp_path, small_config, capsys):
-    code = main(
-        ["hom", "--config", small_config, "--seed", "2", "--out", str(tmp_path), "--position", "99"]
-    )
-    assert code == 1
-    assert "position" in capsys.readouterr().err
+    for flag, value in (("--position", "99"), ("--points", "1")):
+        code = main(
+            ["hom", "--config", small_config, "--seed", "2", "--out", str(tmp_path), flag, value]
+        )
+        assert code == 1
+        assert flag[2:] in capsys.readouterr().err
+        assert not list(tmp_path.glob("run_*"))
 
 
 def test_sweep_ordering(tmp_path, small_config):
@@ -219,11 +257,19 @@ def test_sweep_ordering(tmp_path, small_config):
 
 
 def test_sweep_rejects_bad_nus(tmp_path, small_config, capsys):
-    code = main(
-        ["sweep", "--config", small_config, "--out", str(tmp_path), "--nus", "0,2.5"]
-    )
-    assert code == 1
-    assert "visibility" in capsys.readouterr().err
+    cases = [
+        (["--nus", "0,2.5"], "visibility"),
+        (["--nus", ""], "empty"),
+        (["--nus", "0,x"], "--nus"),
+        (["--alice-draws", "0"], "alice_draws"),
+    ]
+    for i, (argv, field) in enumerate(cases):
+        out = tmp_path / str(i)
+        code = main(["sweep", "--config", small_config, "--out", str(out)] + argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not list(out.glob("run_*"))  # rejected before any file is written
 
 
 def test_speckle_output(tmp_path, small_config):
