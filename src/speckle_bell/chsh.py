@@ -152,23 +152,19 @@ def rate_matrix(
     )
 
 
-def basis_index_pairs(n_projectors: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projector index arrays (i, j) of the unordered bases, in label order."""
-    if n_projectors < 2:
+def basis_cells(rates: np.ndarray) -> np.ndarray:
+    """Rates (r11, r12, r21, r22) of every (Alice basis, Bob basis) pair, shape
+    (2, 4, B), from a :func:`rate_matrix`; Bob bases in label order."""
+    if rates.shape[1] < 2:
         raise ValueError("need at least 2 projectors to enumerate S values")
-    return np.triu_indices(n_projectors, 1)
+    pairs = np.stack(np.triu_indices(rates.shape[1], 1))
+    return rates.reshape(2, 2, -1)[:, :, pairs].reshape(2, 4, -1)
 
 
-def correlations_from_rates(
-    rates: np.ndarray, row1: int, row2: int, idx_i: np.ndarray, idx_j: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized E over all bases for one Alice basis (rate rows row1/row2).
-
-    Returns (e, defined); undefined entries are NaN.  The arithmetic order
-    matches :func:`correlation` exactly so results are bit-identical.
-    """
-    r11, r12 = rates[row1, idx_i], rates[row1, idx_j]
-    r21, r22 = rates[row2, idx_i], rates[row2, idx_j]
+def cell_correlations(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E and its defined mask from (..., 4, B) cells, in :func:`correlation`'s
+    arithmetic order, so results are bit-identical; undefined E is NaN."""
+    r11, r12, r21, r22 = np.moveaxis(cells, -2, 0)
     den = ((r11 + r12) + r21) + r22
     defined = den > DENOMINATOR_EPS
     num = ((r11 - r12) - r21) + r22
@@ -193,23 +189,17 @@ def s_grid(
     Also returns the per-basis defined mask; rows/columns of undefined
     bases are NaN.  Entry orderings and arithmetic match :func:`s_value`.
     """
-    idx_i, idx_j = basis_index_pairs(len(bob_projectors))
-    rates = rate_matrix(alice_pair, bob_projectors, nu)
-    e_a, def_a = correlations_from_rates(rates, 0, 1, idx_i, idx_j)
-    e_ap, def_ap = correlations_from_rates(rates, 2, 3, idx_i, idx_j)
-    return s_combination(e_a, e_ap), def_a & def_ap
+    e, defined = cell_correlations(basis_cells(rate_matrix(alice_pair, bob_projectors, nu)))
+    return s_combination(e[0], e[1]), defined.all(0)
 
 
 def restrict_to_defined(alice_pair, s, sigma, defined: np.ndarray) -> SEnumeration:
     """The (K, K') entries of (B, B) S and sigma grids whose bases are both
     defined, as an enumeration."""
     keep = np.flatnonzero(defined)
-    cells = np.ix_(keep, keep)
+    s, sigma = (grid.compress(defined, 0).compress(defined, 1) for grid in (s, sigma))
     a, ap = alice_pair
-    return SEnumeration(
-        keep + 1, s[cells], sigma[cells], (a.label, ap.label),
-        defined.size * defined.size - keep.size * keep.size,
-    )
+    return SEnumeration(keep + 1, s, sigma, (a.label, ap.label), defined.size**2 - s.size)
 
 
 def enumerate_s(
@@ -226,6 +216,11 @@ def enumerate_s(
     return restrict_to_defined(alice_pair, s, np.zeros_like(s), defined)
 
 
+def _with_complements(theta: np.ndarray, phi: np.ndarray):
+    """Outcome states of unit-weight bases: each state, then its complement."""
+    return np.stack((theta, np.pi - theta), -2), np.stack((phi, phi + np.pi), -2)
+
+
 def max_violation_search(nu: float, trials: int, seed: int) -> SRecord:
     """Brute-force search for the largest S over random setting quadruples.
 
@@ -239,31 +234,23 @@ def max_violation_search(nu: float, trials: int, seed: int) -> SRecord:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
 
-    def correlations(th1, ph1, thb, phb):
-        # outcome partners are the orthogonal complements on both sides
-        r11 = joint_rates(th1, ph1, thb, phb, 1.0, nu)
-        r12 = joint_rates(th1, ph1, np.pi - thb, phb + np.pi, 1.0, nu)
-        r21 = joint_rates(np.pi - th1, ph1 + np.pi, thb, phb, 1.0, nu)
-        r22 = joint_rates(np.pi - th1, ph1 + np.pi, np.pi - thb, phb + np.pi, 1.0, nu)
-        return (((r11 - r12) - r21) + r22) / (((r11 + r12) + r21) + r22)
-
     best_s = -1.0
     best_trial = -1
     done = 0
     while done < trials:
         n = min(_SEARCH_CHUNK, trials - done)
-        hwp = rng.uniform(0.0, TWO_PI, (2, n))
-        qwp = rng.uniform(0.0, TWO_PI, (2, n))
-        th_a, ph_a = waveplate_detector1_angles(hwp[0], qwp[0])
-        th_ap, ph_ap = waveplate_detector1_angles(hwp[1], qwp[1])
-        th_b = rng.uniform(0.0, math.pi, (2, n))
-        ph_b = rng.uniform(0.0, TWO_PI, (2, n))
-
-        e1 = correlations(th_a, ph_a, th_b[0], ph_b[0])
-        e2 = correlations(th_ap, ph_ap, th_b[0], ph_b[0])
-        e3 = correlations(th_a, ph_a, th_b[1], ph_b[1])
-        e4 = correlations(th_ap, ph_ap, th_b[1], ph_b[1])
-        s = np.abs(((e1 + e2) + e3) - e4)
+        hwp, qwp = rng.uniform(0.0, TWO_PI, (2, 2, n))
+        th_a, ph_a = _with_complements(*waveplate_detector1_angles(hwp, qwp))
+        th_b, ph_b = _with_complements(
+            rng.uniform(0.0, math.pi, (2, n)), rng.uniform(0.0, TWO_PI, (2, n))
+        )
+        # cells [A or A', B_K or B_K', 4, n]
+        cells = joint_rates(
+            th_a[:, None, :, None], ph_a[:, None, :, None],
+            th_b[None, :, None], ph_b[None, :, None], 1.0, nu,
+        ).reshape(2, 2, 4, n)
+        e, _ = cell_correlations(cells)
+        s = s_combination(e[0], e[1])[0, 1]
         arg = int(np.argmax(s))
         if float(s[arg]) > best_s:
             best_s = float(s[arg])

@@ -30,6 +30,11 @@ _TAG_TM, _TAG_ALICE, _TAG_COUNTS, _TAG_POSITIONS = 1, 2, 3, 4
 # Histogram bins are held in memory; the default config uses 60.
 MAX_HIST_BINS = 10**6
 
+# Every subcommand samples the full (2M)x(2M) complex channel matrix.  Its
+# peak RSS is about 5.5x the matrix (350 MB measured at M = 1000), so this
+# bound (m_spatial <= 2896) keeps the peak below about 3 GiB.
+MAX_TM_BYTES = 2**29
+
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
@@ -69,6 +74,11 @@ class ExperimentConfig:
         """Return self, or raise ConfigError naming the first bad field."""
         if self.m_spatial < 1:
             raise ConfigError(f"m_spatial must be >= 1, got {self.m_spatial}")
+        if 16 * (2 * self.m_spatial) ** 2 > MAX_TM_BYTES:
+            raise ConfigError(
+                f"m_spatial must be at most {math.isqrt(MAX_TM_BYTES // 16) // 2} (a "
+                f"{MAX_TM_BYTES}-byte channel matrix), got {self.m_spatial}"
+            )
         if self.n_positions < 1:
             raise ConfigError(f"n_positions must be >= 1, got {self.n_positions}")
         if self.n_positions > self.m_spatial:
@@ -212,8 +222,9 @@ def cmd_chsh(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         f"{enumeration.skipped} skipped, {mode}, visibility {cfg.visibility:g})"
     )
     chsh.write_srecords_csv(enumeration, out / "srecords.csv")
-    rows = stats.histogram(enumeration.s, cfg.hist_bin_width, (cfg.hist_lo, cfg.hist_hi))
-    stats.write_histogram_csv(rows, out / "histogram.csv")
+    bounds = (cfg.hist_lo, cfg.hist_hi)
+    counts = stats.histogram(enumeration.s, cfg.hist_bin_width, bounds)
+    stats.write_histogram_csv(counts, cfg.hist_bin_width, bounds, out / "histogram.csv")
     report = stats.certify_arrays(enumeration.s, enumeration.sigma, enumeration.skipped)
     stats.write_report_json(report, out / "report.json")
     print(
@@ -262,28 +273,16 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         f"stage: sweep over nu={nu_list} with {cfg.alice_draws} Alice draws (noiseless)"
     )
     summary = ["nu,draws,records_per_draw,mean_fraction_above_2"]
-    edges = stats.histogram([], cfg.hist_bin_width, (cfg.hist_lo, cfg.hist_hi))
+    bounds = (cfg.hist_lo, cfg.hist_hi)
     for nu in nu_list:
-        accum = np.zeros(len(edges))
-        above = 0
-        total = 0
+        counts = above = total = 0
         for draw in range(cfg.alice_draws):
-            alice_pair = draw_alice_pair(cfg, draw)
-            grid, defined = chsh.s_grid(alice_pair, projectors, nu)
-            values = grid[np.ix_(defined, defined)].ravel()
-            rows = stats.histogram(
-                values, cfg.hist_bin_width, (cfg.hist_lo, cfg.hist_hi)
-            )
-            accum += np.array([r[2] for r in rows], dtype=float)
-            above += int(np.count_nonzero(values > 2.0))
-            total += values.size
-        mean_counts = accum / cfg.alice_draws
-        averaged = [
-            (lo, hi, float(c))
-            for (lo, hi, _), c in zip(edges, mean_counts)
-        ]
+            s = chsh.enumerate_s(draw_alice_pair(cfg, draw), projectors, nu).s
+            counts = counts + stats.histogram(s, cfg.hist_bin_width, bounds)
+            above += int(np.count_nonzero(s > 2.0))
+            total += s.size
         path = out / f"sweep_hist_nu_{nu:g}.csv"
-        stats.write_histogram_csv(averaged, path)
+        stats.write_histogram_csv(counts / cfg.alice_draws, cfg.hist_bin_width, bounds, path)
         fraction = above / total if total else 0.0
         summary.append(
             f"{nu:.12g},{cfg.alice_draws},{total // cfg.alice_draws},{fraction:.12g}"

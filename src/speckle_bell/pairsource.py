@@ -28,6 +28,8 @@ import numpy as np
 
 from .polarization import PoincareState, Projector, amplitude_vector
 
+HOM_SPAN = 5.0  # half-width of a delay scan, in coherence lengths
+
 
 class UndefinedContrastError(ValueError):
     """Raised when the interference contrast denominator vanishes."""
@@ -70,16 +72,13 @@ class PairStateModel:
 
 @dataclass(frozen=True)
 class DelayModel:
-    """Decay of two-photon interference with source path delay."""
+    """Gaussian decay of two-photon interference with source path delay."""
 
     coherence_length: float
-    envelope: str = "gaussian"
 
     def __post_init__(self) -> None:
         if not self.coherence_length > 0.0:
             raise ValueError(f"coherence_length must be positive, got {self.coherence_length}")
-        if self.envelope != "gaussian":
-            raise ValueError(f"unsupported envelope {self.envelope!r}")
 
     def visibility_at(self, delta: float, nu0: float) -> float:
         """Effective visibility nu0 * exp(-(delta/l_c)^2) at delay delta."""
@@ -180,14 +179,12 @@ def hom_curve(
     model: DelayModel,
     nu0: float,
     npoints: int = 101,
-    span: float = 5.0,
 ) -> HomCurve:
-    """Sample the delay curve on [-span*l_c, span*l_c] and attach its contrast."""
+    """Sample the delay curve over +-HOM_SPAN l_c and attach its contrast."""
     if npoints < 2:
         raise ValueError(f"npoints must be >= 2, got {npoints}")
-    delays = np.linspace(
-        -span * model.coherence_length, span * model.coherence_length, npoints
-    )
+    half_width = HOM_SPAN * model.coherence_length
+    delays = np.linspace(-half_width, half_width, npoints)
     rates = np.array([hom_rate(alice, bob, d, model, nu0) for d in delays])
     return HomCurve(delays, rates, contrast(alice, bob, nu0))
 

@@ -2,10 +2,12 @@
 violation certification and histogramming.
 
 The detected-count error model follows standard shot-noise practice: each
-count n carries sigma = sqrt(n) and the four correlations entering one S use
-disjoint data, so their variances add.  Note sqrt(n) gives sigma = 0 for
-empty cells, which understates the true uncertainty; the rule is kept for
-fidelity with how coincidence experiments are usually analyzed.
+count n carries sigma = sqrt(n) and the variances of the four correlations in
+one S add as if they used disjoint data, which is false on the K = K'
+diagonal: there S = |2 E(A, B_K)| and the variance is understated (ROADMAP
+item 4).  sqrt(n) also gives sigma = 0 for empty cells, which understates the
+true uncertainty; the rule is kept for fidelity with how coincidence
+experiments are usually analyzed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .chsh import (
     SEnumeration,
     SRecord,
     UndefinedCorrelationError,
-    basis_index_pairs,
+    basis_cells,
     rate_matrix,
     restrict_to_defined,
     s_combination,
@@ -158,17 +160,12 @@ def noisy_enumerate(
     (K, K') grid, mirroring how per-setting acquisitions are reused when
     many S values are extracted from one data set.
     """
-    idx_i, idx_j = basis_index_pairs(len(bob_projectors))
-    rates = rate_matrix(alice_pair, bob_projectors, nu)
-    n_bases = idx_i.shape[0]
-
-    e = np.full((2, n_bases), np.nan)
-    var = np.zeros((2, n_bases))
-    defined = np.ones(n_bases, dtype=bool)
-    for a_idx, (row1, row2) in enumerate(((0, 1), (2, 3))):
-        cells = zip(rates[row1, idx_i].tolist(), rates[row1, idx_j].tolist(),
-                    rates[row2, idx_i].tolist(), rates[row2, idx_j].tolist())
-        for k, cell in enumerate(cells):
+    cells = basis_cells(rate_matrix(alice_pair, bob_projectors, nu))
+    e = np.full((2, cells.shape[-1]), np.nan)
+    var = np.zeros_like(e)
+    defined = np.ones(e.shape[1], dtype=bool)
+    for a_idx, a_cells in enumerate(cells):
+        for k, cell in enumerate(a_cells.T.tolist()):
             rec = sample_counts(cell, cfg, record_stream(cfg.seed, a_idx, k))
             try:
                 e[a_idx, k], sigma = e_with_sigma(rec)
@@ -219,12 +216,12 @@ def histogram(
     values: Sequence[float] | np.ndarray,
     bin_width: float,
     bounds: tuple[float, float],
-) -> list[tuple[float, float, int]]:
-    """Left-closed right-open histogram with underflow/overflow sentinels.
+) -> np.ndarray:
+    """Left-closed right-open histogram as one int count vector of length
+    nbins + 2: underflow, the bins from ``bounds[0]`` up, overflow.
 
     A value exactly on a bin edge lands in the bin whose lower edge it is.
-    The first row is (-inf, lo, underflow) and the last (top, +inf,
-    overflow); total counts always equal the input size.
+    The counts always sum to the input size.
     """
     lo, hi = float(bounds[0]), float(bounds[1])
     if not bin_width > 0:
@@ -237,29 +234,23 @@ def histogram(
         nbins += 1
     nbins = max(nbins, 1)
 
-    vals = np.asarray(values, dtype=float)
-    if vals.size and np.isnan(vals).any():
+    vals = np.ravel(np.asarray(values, dtype=float))
+    if np.isnan(vals).any():
         raise ValueError("histogram input contains NaN")
-    idx = np.floor((vals - lo) / bin_width)
-    under = int(np.count_nonzero(idx < 0))
-    over = int(np.count_nonzero(idx >= nbins))
-    in_range = idx[(idx >= 0) & (idx < nbins)].astype(np.intp)
-    counts = np.bincount(in_range, minlength=nbins)
-
-    top = lo + nbins * bin_width
-    rows = [(-math.inf, lo, under)]
-    for i in range(nbins):
-        rows.append((lo + i * bin_width, lo + (i + 1) * bin_width, int(counts[i])))
-    rows.append((top, math.inf, over))
-    return rows
+    idx = np.clip(np.floor((vals - lo) / bin_width), -1, nbins) + 1
+    return np.bincount(idx.astype(np.intp), minlength=nbins + 2)
 
 
-def write_histogram_csv(rows: Sequence[tuple], path: str | Path) -> None:
-    """Dump histogram rows as ``bin_lo,bin_hi,count``."""
+def write_histogram_csv(
+    counts: np.ndarray, bin_width: float, bounds: tuple[float, float], path: str | Path
+) -> None:
+    """Dump the count vector of a :func:`histogram` (or a mean of several) with
+    the same ``bin_width`` and ``bounds`` as ``bin_lo,bin_hi,count`` rows."""
+    lo, counts = float(bounds[0]), np.asarray(counts).tolist()
+    lows = [lo + i * bin_width for i in range(len(counts) - 1)]  # lower edges: bins, overflow
+    edges = [(-math.inf, lo), *zip(lows, lows[1:]), (lows[-1], math.inf)]
     lines = ["bin_lo,bin_hi,count"]
-    for lo, hi, count in rows:
-        count_text = f"{count:.12g}" if isinstance(count, float) else str(count)
-        lines.append(f"{lo:.12g},{hi:.12g},{count_text}")
+    lines += [f"{a:.12g},{b:.12g},{c:.12g}" for (a, b), c in zip(edges, counts)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

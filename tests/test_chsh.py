@@ -259,6 +259,7 @@ def test_search_separable_bound_quick():
 def test_search_entangled_quick():
     rec = max_violation_search(1.0, 20_000, seed=7)
     assert 2.0 < rec.s <= TSIRELSON + 1e-9
+    assert rec.s == float.fromhex("0x1.61a573c957d98p+1")  # 2.7628617032166396
 
 
 def test_search_rejects_bad_args():

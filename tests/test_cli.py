@@ -80,6 +80,12 @@ def test_config_validation_names_field():
     for width in (0.0, -0.05, 1e-9):
         with pytest.raises(ConfigError, match="hist_bin_width"):
             ExperimentConfig(hist_bin_width=width).validate()
+    # the channel matrix size is checked from the config, before it is sampled
+    for m in (2897, 10**6):
+        with pytest.raises(ConfigError, match="m_spatial"):
+            ExperimentConfig(m_spatial=m).validate()
+    for m in (1000, 2896):  # the wide-fiber benchmark and the largest accepted
+        ExperimentConfig(m_spatial=m).validate()
 
 
 def test_flags_override_config(small_config, tmp_path):
@@ -270,6 +276,16 @@ def test_sweep_rejects_bad_nus(tmp_path, small_config, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert not list(out.glob("run_*"))  # rejected before any file is written
+
+
+def test_tm_rejects_oversized_channel(tmp_path, capsys):
+    path = tmp_path / "wide.cfg"
+    path.write_text("m_spatial = 1000000\n")
+    out = tmp_path / "t"
+    assert main(["tm", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "m_spatial" in err
+    assert not list(out.glob("run_*"))
 
 
 def test_speckle_output(tmp_path, small_config):

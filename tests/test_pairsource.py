@@ -215,8 +215,6 @@ def test_hom_rate_even_in_delay():
 def test_delay_model_validation():
     with pytest.raises(ValueError):
         DelayModel(0.0)
-    with pytest.raises(ValueError):
-        DelayModel(0.1, envelope="lorentzian")
 
 
 def test_contrast_d_and_a_anchor():

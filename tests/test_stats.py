@@ -8,7 +8,6 @@ from speckle_bell.chsh import (
     SRecord,
     UndefinedCorrelationError,
     alice_basis,
-    basis_index_pairs,
     enumerate_s,
     rate_matrix,
 )
@@ -204,7 +203,7 @@ def test_noisy_enumerate_matches_scalar_pipeline():
     cfg = AcquisitionConfig(seed=33)
     enum = noisy_enumerate(alice, projectors, nu, cfg)
     rates = rate_matrix(alice, projectors, nu)
-    idx_i, idx_j = basis_index_pairs(5)
+    idx_i, idx_j = np.triu_indices(5, 1)  # projector pair of each basis, in label order
 
     def count_record(a_idx, k):
         i, j = int(idx_i[k]), int(idx_j[k])
@@ -337,31 +336,37 @@ def test_report_validation_and_json(tmp_path):
 
 # ---------------------------------------------------------------- histogram
 
-def test_histogram_empty():
-    rows = histogram([], 0.5, (0.0, 2.0))
-    assert all(count == 0 for _, _, count in rows)
-    assert rows[0][0] == -math.inf and rows[-1][1] == math.inf
+def test_histogram_empty(tmp_path):
+    counts = histogram([], 0.5, (0.0, 2.0))
+    assert counts.shape == (6,) and not counts.any()  # 4 bins + 2 sentinels
+    path = tmp_path / "h.csv"
+    write_histogram_csv(counts, 0.5, (0.0, 2.0), path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "-inf,0,0" and lines[-1] == "2,inf,0"
 
 
 def test_histogram_edge_goes_to_upper_bin():
-    rows = histogram([0.5], 0.25, (0.0, 1.0))
+    counts = histogram([0.5], 0.25, (0.0, 1.0))
     # bins: [0,.25) [.25,.5) [.5,.75) [.75,1): value 0.5 opens the third bin
-    assert rows[3] == (0.5, 0.75, 1)
+    assert counts.tolist() == [0, 0, 0, 1, 0, 0]
 
 
 def test_histogram_conservation_with_sentinels():
     rng = np.random.default_rng(48)
     values = rng.uniform(-1, 4, 10_000)
-    rows = histogram(values, 0.05, (0.0, 3.0))
-    assert sum(count for _, _, count in rows) == 10_000
-    assert rows[0][2] > 0 and rows[-1][2] > 0
+    counts = histogram(values, 0.05, (0.0, 3.0))
+    assert counts.sum() == 10_000
+    assert counts[0] > 0 and counts[-1] > 0
 
 
-def test_histogram_bin_count_for_default_range():
-    rows = histogram([], 0.05, (0.0, 3.0))
-    assert len(rows) == 62  # 60 bins + 2 sentinels
-    assert rows[1][0] == 0.0
-    assert rows[-2][1] == pytest.approx(3.0)
+def test_histogram_bin_count_for_default_range(tmp_path):
+    counts = histogram([], 0.05, (0.0, 3.0))
+    assert len(counts) == 62  # 60 bins + 2 sentinels
+    path = tmp_path / "h.csv"
+    write_histogram_csv(counts, 0.05, (0.0, 3.0), path)
+    lines = path.read_text().splitlines()
+    assert lines[2].startswith("0,")
+    assert float(lines[-2].split(",")[1]) == pytest.approx(3.0)
 
 
 def test_histogram_rejects_bad_args():
@@ -374,10 +379,21 @@ def test_histogram_rejects_bad_args():
 
 
 def test_histogram_csv(tmp_path):
-    rows = histogram([0.1, 0.9, 5.0], 0.5, (0.0, 1.0))
+    counts = histogram([0.1, 0.9, 5.0], 0.5, (0.0, 1.0))
     path = tmp_path / "h.csv"
-    write_histogram_csv(rows, path)
+    write_histogram_csv(counts, 0.5, (0.0, 1.0), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "bin_lo,bin_hi,count"
     assert lines[1].startswith("-inf,0,")
     assert lines[-1].endswith(",1")  # the 5.0 overflow
+    assert lines[1:] == ["-inf,0,0", "0,0.5,1", "0.5,1,1", "1,inf,1"]
+    # a mean over draws: whole numbers print without a fraction
+    write_histogram_csv(np.array([1.5, 3.0, 0.0, 0.25]), 0.5, (0.0, 1.0), path)
+    assert path.read_text().splitlines()[1:] == [
+        "-inf,0,1.5", "0,0.5,3", "0.5,1,0", "1,inf,0.25"
+    ]
+    # a negative-zero low edge keeps its sign on the underflow row only
+    write_histogram_csv(histogram([-1.0, 0.0], 0.5, (-0.0, 1.0)), 0.5, (-0.0, 1.0), path)
+    assert path.read_text().splitlines()[1:] == [
+        "-inf,-0,1", "0,0.5,1", "0.5,1,0", "1,inf,0"
+    ]
