@@ -12,9 +12,11 @@ from .polarization import (
     waveplate_projection,
 )
 from .medium import (
+    HaarChannel,
     SpecklePattern,
     TransmissionMatrix,
     bob_projector_set,
+    haar_columns,
     load_tm,
     projector_from_tm,
     random_tm,

@@ -176,7 +176,9 @@ def cell_correlations(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def s_combination(e_a: np.ndarray, e_ap: np.ndarray) -> np.ndarray:
     """|E(A,B_K) + E(A',B_K) + E(A,B_K') - E(A',B_K')| over all (K, K'), in
     :func:`s_value`'s arithmetic order, from per-basis E of A and A'."""
-    return np.abs(((e_a[:, None] + e_ap[:, None]) + e_a[None, :]) - e_ap[None, :])
+    s = (e_a[:, None] + e_ap[:, None]) + e_a[None, :]
+    np.subtract(s, e_ap[None, :], out=s)
+    return np.abs(s, out=s)
 
 
 def s_grid(
@@ -195,9 +197,10 @@ def s_grid(
 
 def restrict_to_defined(alice_pair, s, sigma, defined: np.ndarray) -> SEnumeration:
     """The (K, K') entries of (B, B) S and sigma grids whose bases are both
-    defined, as an enumeration."""
+    defined, as an enumeration; the grids themselves when every basis is."""
     keep = np.flatnonzero(defined)
-    s, sigma = (grid.compress(defined, 0).compress(defined, 1) for grid in (s, sigma))
+    if keep.size < defined.size:
+        s, sigma = (grid.compress(defined, 0).compress(defined, 1) for grid in (s, sigma))
     a, ap = alice_pair
     return SEnumeration(keep + 1, s, sigma, (a.label, ap.label), defined.size**2 - s.size)
 
@@ -213,7 +216,7 @@ def enumerate_s(
     correlations are undefined (dark-projector bases) are skipped and counted.
     """
     s, defined = s_grid(alice_pair, bob_projectors, nu)
-    return restrict_to_defined(alice_pair, s, np.zeros_like(s), defined)
+    return restrict_to_defined(alice_pair, s, np.broadcast_to(0.0, s.shape), defined)
 
 
 def _with_complements(theta: np.ndarray, phi: np.ndarray):

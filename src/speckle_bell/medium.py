@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -58,22 +59,20 @@ class TransmissionMatrix:
             object.__setattr__(self, "entries", self.entries.astype(complex))
         self.entries.setflags(write=False)
 
-    def coefficient(self, k: int, pol_out: str | int, b: int, pol_in: str | int) -> complex:
-        """Coefficient from input (b, pol_in) to output (k, pol_out)."""
-        self._check_mode(k)
-        self._check_mode(b)
-        return complex(self.entries[2 * k + _pol_index(pol_out), 2 * b + _pol_index(pol_in)])
+    def columns(self, b: int) -> np.ndarray:
+        """The (2M, 2) block of columns ``2b, 2b+1``: input mode ``b``, H then V."""
+        _check_mode(self.m_spatial, b)
+        return self.entries[:, 2 * b : 2 * b + 2]
 
     def unitarity_residual(self) -> float:
         """Max absolute entry of T^dagger T - I."""
         n = 2 * self.m_spatial
         return float(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(n))))
 
-    def _check_mode(self, index: int) -> None:
-        if not 0 <= index < self.m_spatial:
-            raise ValueError(
-                f"spatial mode {index} out of range [0, {self.m_spatial})"
-            )
+
+def _check_mode(m_spatial: int, index: int) -> None:
+    if not 0 <= index < m_spatial:
+        raise ValueError(f"spatial mode {index} out of range [0, {m_spatial})")
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,36 @@ class SpecklePattern:
         return float(np.sum(self.intensity_h) + np.sum(self.intensity_v))
 
 
+# Gaussian samples are drawn in row chunks of at most 2^17 floats.
+_CHUNK_FLOATS = 1 << 17
+
+
+def _haar_leading(m_spatial: int, seed: int, r: int) -> np.ndarray:
+    """Leading ``r`` columns of the Haar unitary of ``random_tm(m_spatial, seed)``.
+
+    The (2M)x(2M) Gaussian stream is drawn in row chunks, real parts then
+    imaginary parts, as one ``standard_normal((2M, 2M))`` call each would
+    draw it, and only its leading ``r`` columns are kept.  Their QR with the
+    R-diagonal phase fix gives the unitary's leading ``r`` columns, which by
+    Haar invariance have the Haar column law (Mezzadri 2007).
+    """
+    if m_spatial < 1:
+        raise ValueError(f"m_spatial must be >= 1, got {m_spatial}")
+    n = 2 * m_spatial
+    rng = np.random.default_rng(seed)
+    rows = max(1, _CHUNK_FLOATS // n)
+    parts = np.empty((2, n, r))
+    for part in parts:
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            part[start:stop] = rng.standard_normal((stop - start, n))[:, :r]
+    z = (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
+    del parts  # as large as the matrix at r = 2M; freed before the QR
+    q, rr = np.linalg.qr(z)
+    d = np.diagonal(rr)
+    return q * (d / np.abs(d))
+
+
 def random_tm(m_spatial: int, seed: int) -> TransmissionMatrix:
     """Haar-distributed (2M)x(2M) unitary, deterministic in ``seed``.
 
@@ -100,31 +129,60 @@ def random_tm(m_spatial: int, seed: int) -> TransmissionMatrix:
     the R-diagonal phase correction, which makes the factorization unique
     and the distribution exactly Haar.
     """
-    if m_spatial < 1:
-        raise ValueError(f"m_spatial must be >= 1, got {m_spatial}")
-    n = 2 * m_spatial
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return TransmissionMatrix(m_spatial, q, int(seed))
+    entries = _haar_leading(m_spatial, seed, 2 * m_spatial)
+    return TransmissionMatrix(m_spatial, entries, int(seed))
+
+
+def haar_columns(m_spatial: int, seed: int, b: int) -> np.ndarray:
+    """Columns ``2b, 2b+1`` of ``random_tm(m_spatial, seed)`` as a read-only
+    (2M, 2) block, from the QR of only the leading ``2b + 2`` Gaussian
+    columns: O(M (b+1)) memory instead of O(M^2).
+    """
+    _check_mode(m_spatial, b)
+    block = _haar_leading(m_spatial, seed, 2 * b + 2)[:, 2 * b :]
+    block.setflags(write=False)
+    return block
+
+
+@dataclass(frozen=True)
+class HaarChannel:
+    """The seeded channel of :func:`random_tm`, sampled only where it is read:
+    :meth:`columns` gives one input mode's block, and the full ``entries``
+    are drawn on first access."""
+
+    m_spatial: int
+    seed: int
+
+    def columns(self, b: int) -> np.ndarray:
+        """The (2M, 2) block of input mode ``b``, as :func:`haar_columns`."""
+        return haar_columns(self.m_spatial, self.seed, b)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The full (2M)x(2M) matrix, ``random_tm(m_spatial, seed).entries``."""
+        return random_tm(self.m_spatial, self.seed).entries
 
 
 def projector_from_tm(
-    tm: TransmissionMatrix, k: int, detector_pol: str | int, b: int
+    tm: TransmissionMatrix | HaarChannel, k: int, detector_pol: str | int, b: int
 ) -> Projector:
     """Effective polarization projector seen at output (k, detector_pol).
 
-    For coefficients ``t_h`` (from input H) and ``t_v`` (from input V) into
-    that output, the projector has ``|c| = sqrt(|t_v|^2 + |t_h|^2)``,
-    ``arg c = arg t_h``, ``theta = 2 atan(|t_v|/|t_h|)`` and
-    ``phi = arg t_v - arg t_h``.  Degenerate coefficients fall back to the
-    pole values; if both vanish the projector is dark.
+    ``tm`` is a :class:`TransmissionMatrix` or :class:`HaarChannel`; only its
+    input-mode block ``tm.columns(b)`` is read.  For coefficients ``t_h``
+    (from input H) and ``t_v`` (from input V) into that output, the
+    projector has ``|c| = sqrt(|t_v|^2 + |t_h|^2)``, ``arg c = arg t_h``,
+    ``theta = 2 atan(|t_v|/|t_h|)`` and ``phi = arg t_v - arg t_h``.
+    Degenerate coefficients fall back to the pole values; if both vanish the
+    projector is dark.
     """
-    p_out = _pol_index(detector_pol)
-    t_h = tm.coefficient(k, p_out, b, POL_H)
-    t_v = tm.coefficient(k, p_out, b, POL_V)
+    _check_mode(tm.m_spatial, k)
+    return _projector(tm.columns(b)[2 * k + _pol_index(detector_pol)])
+
+
+def _projector(coefficients: np.ndarray) -> Projector:
+    """Projector from one output row ``(t_h, t_v)`` of an input-mode block."""
+    t_h, t_v = complex(coefficients[0]), complex(coefficients[1])
     ah, av = abs(t_h), abs(t_v)
     if ah < DEGENERATE_EPS and av < DEGENERATE_EPS:
         return Projector(0j, PoincareState(0.0, 0.0))
@@ -139,28 +197,27 @@ def projector_from_tm(
 
 
 def bob_projector_set(
-    tm: TransmissionMatrix, positions: list[int], b: int
+    tm: TransmissionMatrix | HaarChannel, positions: list[int], b: int
 ) -> list[Projector]:
     """Projectors for every (position, detector) pair, position-major, H first."""
     if not positions:
         raise ValueError("positions must be non-empty")
     if len(set(positions)) != len(positions):
         raise ValueError(f"duplicate positions in {positions}")
-    return [
-        projector_from_tm(tm, k, pol, b)
-        for k in positions
-        for pol in (POL_H, POL_V)
-    ]
+    for k in positions:
+        _check_mode(tm.m_spatial, k)
+    block = tm.columns(b)
+    return [_projector(block[2 * k + pol]) for k in positions for pol in (POL_H, POL_V)]
 
 
 def speckle_intensity(
-    tm: TransmissionMatrix, input_vector: AmplitudeVector, b: int
+    tm: TransmissionMatrix | HaarChannel, input_vector: AmplitudeVector, b: int
 ) -> SpecklePattern:
     """Output intensity pattern for a unit-norm input state at mode ``b``."""
     if abs(input_vector.norm_sq() - 1.0) > 1e-9:
         raise ValueError("input amplitude vector must be unit-norm")
-    tm._check_mode(b)
-    out = tm.entries[:, 2 * b] * input_vector.h + tm.entries[:, 2 * b + 1] * input_vector.v
+    block = tm.columns(b)
+    out = block[:, 0] * input_vector.h + block[:, 1] * input_vector.v
     intensity = np.abs(out) ** 2
     return SpecklePattern(intensity[POL_H::2].copy(), intensity[POL_V::2].copy())
 

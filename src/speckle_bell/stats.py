@@ -237,7 +237,11 @@ def histogram(
     vals = np.ravel(np.asarray(values, dtype=float))
     if np.isnan(vals).any():
         raise ValueError("histogram input contains NaN")
-    idx = np.clip(np.floor((vals - lo) / bin_width), -1, nbins) + 1
+    idx = vals - lo
+    np.divide(idx, bin_width, out=idx)
+    np.floor(idx, out=idx)
+    np.clip(idx, -1, nbins, out=idx)
+    np.add(idx, 1, out=idx)
     return np.bincount(idx.astype(np.intp), minlength=nbins + 2)
 
 

@@ -311,6 +311,23 @@ def test_tm_dump_round_trip(tmp_path, small_config):
     assert np.array_equal(tm.entries, ref.entries)
 
 
+def test_column_subcommands_never_build_the_full_channel(tmp_path, monkeypatch):
+    from speckle_bell import medium
+
+    def refuse(*args):
+        raise AssertionError("the full channel matrix was built")
+
+    monkeypatch.setattr(medium, "random_tm", refuse)
+    config = tmp_path / "m12.cfg"
+    config.write_text("m_spatial = 12\nn_positions = 4\n")
+    common = ["--config", str(config), "--seed", "1"]
+    for argv in (["chsh"], ["chsh", "--noiseless"], ["sweep", "--alice-draws", "2"],
+                 ["hom", "--position", "3"], ["speckle"]):
+        assert main([*argv, *common, "--out", str(tmp_path / "out")]) == 0
+    with pytest.raises(AssertionError):
+        main(["tm", *common, "--out", str(tmp_path / "tm")])
+
+
 def test_bad_config_path(tmp_path, capsys):
     code = main(["chsh", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)])
     assert code == 1

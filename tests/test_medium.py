@@ -1,13 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import speckle_bell
 from speckle_bell.medium import (
     POL_H,
     POL_V,
+    HaarChannel,
     TransmissionMatrix,
     bob_projector_set,
+    haar_columns,
     load_tm,
     projector_from_tm,
     random_tm,
@@ -51,6 +58,47 @@ def test_unitarity_both_sides():
     n = 2 * tm.m_spatial
     assert np.max(np.abs(tm.entries.conj().T @ tm.entries - np.eye(n))) < 1e-10
     assert np.max(np.abs(tm.entries @ tm.entries.conj().T - np.eye(n))) < 1e-10
+
+
+def test_haar_columns_match_random_tm():
+    for m in (1, 2, 12, 40):
+        for seed in (0, 5, 123):
+            entries = random_tm(m, seed).entries
+            channel = HaarChannel(m, seed)
+            for b in range(m):
+                block = haar_columns(m, seed, b)
+                assert not block.flags.writeable
+                assert block.tobytes() == entries[:, 2 * b : 2 * b + 2].tobytes()
+                assert channel.columns(b).tobytes() == block.tobytes()
+            assert channel.entries.tobytes() == entries.tobytes()
+    with pytest.raises(ValueError):
+        haar_columns(3, 0, 3)
+
+
+# Digests of the input-mode-0 block under this process's BLAS threads, and of
+# the same columns of the full unitary.
+_THREAD_PROBE = """
+import hashlib
+from speckle_bell.medium import haar_columns, random_tm
+for seed in (3, 41):
+    print(hashlib.sha256(haar_columns(200, seed, 0).tobytes()).hexdigest(),
+          hashlib.sha256(random_tm(200, seed).entries[:, :2].tobytes()).hexdigest())
+"""
+
+
+def test_haar_columns_independent_of_blas_threads():
+    src = Path(speckle_bell.__file__).resolve().parents[1]
+    lines = {}
+    for threads in (1, 2):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        lines[threads] = [line.split() for line in done.stdout.splitlines()]
+    assert len(lines[1]) == 2
+    for (thin_1, full_1), (thin_2, _) in zip(lines[1], lines[2]):
+        assert thin_1 == thin_2 == full_1
 
 
 def test_projector_identity_h_detector():
