@@ -181,10 +181,15 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**values).validate()
 
 
+def channel(cfg: ExperimentConfig) -> medium.HaarChannel:
+    """The run's seeded channel; nothing is sampled until it is read."""
+    return medium.HaarChannel(cfg.m_spatial, derive_seed(cfg.seed, _TAG_TM))
+
+
 def build_channel(cfg: ExperimentConfig):
-    """Seeded channel (a :class:`medium.HaarChannel`), selected positions and
-    Bob's projector set, which reads only the input mode's two columns."""
-    tm = medium.HaarChannel(cfg.m_spatial, derive_seed(cfg.seed, _TAG_TM))
+    """Seeded channel, selected positions and Bob's projector set, which
+    reads only the input mode's two columns."""
+    tm = channel(cfg)
     rng = np.random.default_rng(derive_seed(cfg.seed, _TAG_POSITIONS))
     positions = sorted(
         int(p) for p in rng.choice(cfg.m_spatial, cfg.n_positions, replace=False)
@@ -298,7 +303,6 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_speckle(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = run_dir(args.out, cfg.seed)
-    tm, _, _ = build_channel(cfg)
     states = {
         "H": PoincareState(0.0, 0.0),
         "V": PoincareState(math.pi, 0.0),
@@ -308,7 +312,7 @@ def cmd_speckle(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         "L": PoincareState(math.pi / 2, 3 * math.pi / 2),
     }
     pattern = medium.speckle_intensity(
-        tm, amplitude_vector(states[args.input_pol]), cfg.input_mode
+        channel(cfg), amplitude_vector(states[args.input_pol]), cfg.input_mode
     )
     path = out / "speckle.csv"
     medium.write_speckle_csv(pattern, path)
@@ -318,9 +322,8 @@ def cmd_speckle(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_tm(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = run_dir(args.out, cfg.seed)
-    tm, _, _ = build_channel(cfg)
     path = out / "tm.txt"
-    medium.save_tm(tm, path)
+    medium.save_tm(channel(cfg), path)
     print(f"stage: channel matrix written to {path}")
     return 0
 

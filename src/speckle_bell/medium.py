@@ -20,21 +20,10 @@ import numpy as np
 from .polarization import AmplitudeVector, PoincareState, Projector, wrap_angle
 
 POL_H, POL_V = 0, 1
-_POL_LETTERS = ("H", "V")
-_POL_INDEX = {"H": POL_H, "V": POL_V}
 
 # Below this magnitude a coefficient is treated as exactly zero when
 # extracting projector angles (the angle formulas are undefined there).
 DEGENERATE_EPS = 1e-300
-
-
-def _pol_index(pol: str | int) -> int:
-    if pol in (POL_H, POL_V):
-        return int(pol)
-    try:
-        return _POL_INDEX[pol]
-    except (KeyError, TypeError):
-        raise ValueError(f"polarization must be 'H' or 'V', got {pol!r}") from None
 
 
 @dataclass(frozen=True)
@@ -87,9 +76,6 @@ class SpecklePattern:
             raise ValueError("intensity arrays must have matching shapes")
         self.intensity_h.setflags(write=False)
         self.intensity_v.setflags(write=False)
-
-    def total(self) -> float:
-        return float(np.sum(self.intensity_h) + np.sum(self.intensity_v))
 
 
 # Gaussian samples are drawn in row chunks of at most 2^17 floats.
@@ -163,25 +149,15 @@ class HaarChannel:
         return random_tm(self.m_spatial, self.seed).entries
 
 
-def projector_from_tm(
-    tm: TransmissionMatrix | HaarChannel, k: int, detector_pol: str | int, b: int
-) -> Projector:
-    """Effective polarization projector seen at output (k, detector_pol).
-
-    ``tm`` is a :class:`TransmissionMatrix` or :class:`HaarChannel`; only its
-    input-mode block ``tm.columns(b)`` is read.  For coefficients ``t_h``
-    (from input H) and ``t_v`` (from input V) into that output, the
-    projector has ``|c| = sqrt(|t_v|^2 + |t_h|^2)``, ``arg c = arg t_h``,
-    ``theta = 2 atan(|t_v|/|t_h|)`` and ``phi = arg t_v - arg t_h``.
-    Degenerate coefficients fall back to the pole values; if both vanish the
-    projector is dark.
-    """
-    _check_mode(tm.m_spatial, k)
-    return _projector(tm.columns(b)[2 * k + _pol_index(detector_pol)])
-
-
 def _projector(coefficients: np.ndarray) -> Projector:
-    """Projector from one output row ``(t_h, t_v)`` of an input-mode block."""
+    """Effective polarization projector of one output row of an input-mode block.
+
+    For coefficients ``t_h`` (from input H) and ``t_v`` (from input V) into
+    that output, the projector has ``|c| = sqrt(|t_v|^2 + |t_h|^2)``,
+    ``arg c = arg t_h``, ``theta = 2 atan(|t_v|/|t_h|)`` and
+    ``phi = arg t_v - arg t_h``.  Degenerate coefficients fall back to the
+    pole values; if both vanish the projector is dark.
+    """
     t_h, t_v = complex(coefficients[0]), complex(coefficients[1])
     ah, av = abs(t_h), abs(t_v)
     if ah < DEGENERATE_EPS and av < DEGENERATE_EPS:
@@ -199,7 +175,11 @@ def _projector(coefficients: np.ndarray) -> Projector:
 def bob_projector_set(
     tm: TransmissionMatrix | HaarChannel, positions: list[int], b: int
 ) -> list[Projector]:
-    """Projectors for every (position, detector) pair, position-major, H first."""
+    """Projectors for every (position, detector) pair, position-major, H first.
+
+    ``tm`` is a :class:`TransmissionMatrix` or :class:`HaarChannel`; only its
+    input-mode block ``tm.columns(b)`` is read.
+    """
     if not positions:
         raise ValueError("positions must be non-empty")
     if len(set(positions)) != len(positions):
@@ -222,56 +202,62 @@ def speckle_intensity(
     return SpecklePattern(intensity[POL_H::2].copy(), intensity[POL_V::2].copy())
 
 
-def save_tm(tm: TransmissionMatrix, path: str | Path) -> None:
+def save_tm(tm: TransmissionMatrix | HaarChannel, path: str | Path) -> None:
     """Write the channel matrix in the plain-text interchange format.
 
     Header ``TM v1 M=<int> seed=<uint64>`` followed by one line per entry,
-    ``k p' j p re im``, with 17 significant digits so the round trip is
-    exact.
+    ``k p' j p re im``, in row-major order, with 17 significant digits so the
+    round trip is exact.
     """
-    lines = [f"TM v1 M={tm.m_spatial} seed={tm.seed}"]
-    for k in range(tm.m_spatial):
-        for p_out in (POL_H, POL_V):
-            row = tm.entries[2 * k + p_out]
-            for j in range(tm.m_spatial):
-                for p_in in (POL_H, POL_V):
-                    z = row[2 * j + p_in]
-                    lines.append(
-                        f"{k} {_POL_LETTERS[p_out]} {j} {_POL_LETTERS[p_in]} "
-                        f"{z.real:.17g} {z.imag:.17g}"
-                    )
-    Path(path).write_text("\n".join(lines) + "\n")
+    # Each matrix row's lines are one %-template over its interleaved (re, im).
+    columns = [f" {j} {p} %.17g %.17g" for j in range(tm.m_spatial) for p in "HV"]
+    with open(path, "w") as f:
+        f.write(f"TM v1 M={tm.m_spatial} seed={tm.seed}\n")
+        for r, row in enumerate(np.ascontiguousarray(tm.entries)):
+            prefix = f"{r // 2} {'HV'[r % 2]}"
+            f.write(prefix + f"\n{prefix}".join(columns) % tuple(row.view(float).tolist()) + "\n")
 
 
 def load_tm(path: str | Path) -> TransmissionMatrix:
-    """Read a channel matrix written by :func:`save_tm`."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    """Read a channel matrix written by :func:`save_tm`; entry lines may come
+    in any order, and a malformed file raises ValueError naming ``path``."""
+    lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "TM" or header[1] != "v1":
-        raise ValueError(f"{path}: bad header {lines[0]!r}")
     try:
-        m_spatial = int(header[2].removeprefix("M="))
-        seed = int(header[3].removeprefix("seed="))
+        tag, version, m_field, seed_field = lines[0].split()
+        m_spatial = int(m_field.removeprefix("M="))
+        seed = int(seed_field.removeprefix("seed="))
+        if (tag, version) != ("TM", "v1") or m_spatial < 1:
+            raise ValueError
     except ValueError:
         raise ValueError(f"{path}: bad header {lines[0]!r}") from None
     n = 2 * m_spatial
-    entries = np.zeros((n, n), dtype=complex)
+    body = lines[1:]
+    if len(body) != n * n:
+        raise ValueError(f"{path}: expected {n * n} entry lines, got {len(body)}")
+    # Letters as "U2", not "U1", so that "HV" is rejected instead of cut to "H".
+    try:
+        data = np.loadtxt(body, dtype="i8,U2,i8,U2,f8,f8", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if len(data) != len(body):  # loadtxt skips blank lines
+        raise ValueError(f"{path}: {len(body) - len(data)} blank lines")
+    k, p_out, j, p_in, re, im = (data[name] for name in data.dtype.names)
+    valid = (np.isin(p_out, ("H", "V")) & np.isin(p_in, ("H", "V"))
+             & (0 <= k) & (k < m_spatial) & (0 <= j) & (j < m_spatial))
+    if not valid.all():
+        bad = int(np.argmin(valid))  # no blank lines, so line bad + 2 of the file
+        raise ValueError(f"{path}:{bad + 2}: mode or polarization out of range: {body[bad]!r}")
+    rows, cols = 2 * k + (p_out == "V"), 2 * j + (p_in == "V")
     seen = np.zeros((n, n), dtype=bool)
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 6:
-            raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-        k, p_out, j, p_in = int(parts[0]), _pol_index(parts[1]), int(parts[2]), _pol_index(parts[3])
-        if not (0 <= k < m_spatial and 0 <= j < m_spatial):
-            raise ValueError(f"{path}:{lineno}: mode index out of range")
-        row, col = 2 * k + p_out, 2 * j + p_in
-        entries[row, col] = complex(float(parts[4]), float(parts[5]))
-        seen[row, col] = True
+    seen[rows, cols] = True
     if not seen.all():
         raise ValueError(f"{path}: {int((~seen).sum())} entries missing")
+    entries = np.zeros((n, n), dtype=complex)
+    # Parts assigned separately: re + 1j*im would turn a -0.0 real part into +0.0.
+    entries.real[rows, cols] = re
+    entries.imag[rows, cols] = im
     return TransmissionMatrix(m_spatial, entries, seed)
 
 

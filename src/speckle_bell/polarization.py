@@ -111,10 +111,6 @@ class Projector:
     def weight(self) -> float:
         return abs(self.amplitude) ** 2
 
-    @property
-    def is_dark(self) -> bool:
-        return self.amplitude == 0
-
 
 @dataclass(frozen=True)
 class WaveplateSetting:

@@ -4,10 +4,10 @@ violation certification and histogramming.
 The detected-count error model follows standard shot-noise practice: each
 count n carries sigma = sqrt(n) and the variances of the four correlations in
 one S add as if they used disjoint data, which is false on the K = K'
-diagonal: there S = |2 E(A, B_K)| and the variance is understated (ROADMAP
-item 4).  sqrt(n) also gives sigma = 0 for empty cells, which understates the
-true uncertainty; the rule is kept for fidelity with how coincidence
-experiments are usually analyzed.
+diagonal: there S = |2 E(A, B_K)| and the variance is understated (ROADMAP,
+"Make certification sound at every count level").  sqrt(n) also gives
+sigma = 0 for empty cells, which understates the true uncertainty; the rule
+is kept for fidelity with how coincidence experiments are usually analyzed.
 """
 
 from __future__ import annotations

@@ -317,15 +317,29 @@ def test_column_subcommands_never_build_the_full_channel(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the full channel matrix was built")
 
+    # Every subcommand but tm samples the input mode's block exactly once;
+    # tm samples only the full matrix.
+    blocks = []
+    sample_block = medium.haar_columns
+
+    def counted(*args):
+        blocks.append(args)
+        return sample_block(*args)
+
     monkeypatch.setattr(medium, "random_tm", refuse)
+    monkeypatch.setattr(medium, "haar_columns", counted)
     config = tmp_path / "m12.cfg"
     config.write_text("m_spatial = 12\nn_positions = 4\n")
     common = ["--config", str(config), "--seed", "1"]
     for argv in (["chsh"], ["chsh", "--noiseless"], ["sweep", "--alice-draws", "2"],
                  ["hom", "--position", "3"], ["speckle"]):
+        blocks.clear()
         assert main([*argv, *common, "--out", str(tmp_path / "out")]) == 0
+        assert len(blocks) == 1, argv
+    blocks.clear()
     with pytest.raises(AssertionError):
         main(["tm", *common, "--out", str(tmp_path / "tm")])
+    assert blocks == []
 
 
 def test_bad_config_path(tmp_path, capsys):

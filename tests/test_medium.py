@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,6 @@ from speckle_bell.medium import (
     bob_projector_set,
     haar_columns,
     load_tm,
-    projector_from_tm,
     random_tm,
     save_tm,
     speckle_intensity,
@@ -102,7 +103,7 @@ def test_haar_columns_independent_of_blas_threads():
 
 
 def test_projector_identity_h_detector():
-    p = projector_from_tm(identity_tm(3), 1, POL_H, 1)
+    p = bob_projector_set(identity_tm(3), [1], 1)[POL_H]
     assert p.amplitude == 1.0
     assert p.state.theta == 0.0 and p.state.phi == 0.0
 
@@ -110,7 +111,7 @@ def test_projector_identity_h_detector():
 def test_projector_identity_v_detector():
     # limit of the angle formulas as the H coefficient vanishes; the
     # projected state must be V, confirmed by the overlap oracle
-    p = projector_from_tm(identity_tm(3), 2, POL_V, 2)
+    p = bob_projector_set(identity_tm(3), [2], 2)[POL_V]
     assert abs(p.amplitude - 1.0) < 1e-12
     assert p.state.theta == math.pi and p.state.phi == 0.0
     from speckle_bell.polarization import PoincareState, overlap
@@ -124,7 +125,7 @@ def test_projector_direct_substitution():
     entries[0, 0] = 1 / math.sqrt(2)       # t^HH at (k=0, b=0)
     entries[0, 1] = 1j / math.sqrt(2)      # t^HV
     tm = TransmissionMatrix(m, entries)
-    p = projector_from_tm(tm, 0, POL_H, 0)
+    p = bob_projector_set(tm, [0], 0)[POL_H]
     assert abs(abs(p.amplitude) - 1.0) < 1e-12
     assert abs(p.state.theta - math.pi / 2) < 1e-12
     assert abs(p.state.phi - math.pi / 2) < 1e-12
@@ -135,13 +136,13 @@ def test_projector_dark():
     entries = np.zeros((2 * m, 2 * m), dtype=complex)
     entries[2, 2] = 1.0
     tm = TransmissionMatrix(m, entries)
-    p = projector_from_tm(tm, 0, POL_H, 0)
-    assert p.is_dark and p.weight == 0.0
+    p = bob_projector_set(tm, [0], 0)[POL_H]
+    assert p.amplitude == 0 and p.weight == 0.0
 
 
 def test_projector_out_of_range():
     with pytest.raises(ValueError):
-        projector_from_tm(identity_tm(2), 5, POL_H, 0)
+        bob_projector_set(identity_tm(2), [5], 0)
 
 
 def test_bob_projector_set_counts():
@@ -172,7 +173,7 @@ def test_projector_energy_accounting():
     total_c = 0.0
     for k in range(tm.m_spatial):
         for pol in (POL_H, POL_V):
-            total_c += projector_from_tm(tm, k, pol, b).weight
+            total_c += bob_projector_set(tm, [k], b)[pol].weight
     assert abs(total_c - 2.0) < 1e-10
     col_h = np.sum(np.abs(tm.entries[:, 2 * b]) ** 2)
     col_v = np.sum(np.abs(tm.entries[:, 2 * b + 1]) ** 2)
@@ -186,8 +187,8 @@ def test_detector_angles_uncorrelated():
     for seed in range(10):
         tm = random_tm(200, 100 + seed)
         for k in range(tm.m_spatial):
-            ph = projector_from_tm(tm, k, POL_H, 0)
-            pv = projector_from_tm(tm, k, POL_V, 0)
+            ph = bob_projector_set(tm, [k], 0)[POL_H]
+            pv = bob_projector_set(tm, [k], 0)[POL_V]
             thetas_h.append(ph.state.theta)
             thetas_v.append(pv.state.theta)
             phis_h.append(ph.state.phi)
@@ -215,7 +216,8 @@ def test_eigenphases_uniform():
 def test_speckle_identity_routes_input():
     pattern = speckle_intensity(identity_tm(4), AmplitudeVector(1.0, 0.0), 2)
     assert abs(pattern.intensity_h[2] - 1.0) < 1e-12
-    assert pattern.total() == pytest.approx(1.0, abs=1e-10)
+    total = np.sum(pattern.intensity_h) + np.sum(pattern.intensity_v)
+    assert total == pytest.approx(1.0, abs=1e-10)
     mask = np.ones(4, dtype=bool)
     mask[2] = False
     assert np.max(pattern.intensity_h[mask]) < 1e-12
@@ -226,7 +228,7 @@ def test_speckle_conserves_intensity():
     tm = random_tm(100, 17)
     v = AmplitudeVector(0.6, 0.8j)
     pattern = speckle_intensity(tm, v, 42)
-    assert abs(pattern.total() - 1.0) < 1e-10
+    assert abs(np.sum(pattern.intensity_h) + np.sum(pattern.intensity_v) - 1.0) < 1e-10
 
 
 def test_speckle_rejects_unnormalized_input():
@@ -245,6 +247,13 @@ def test_speckle_intensities_exponential():
     assert p > 0.01
 
 
+# Signed zero, the smallest subnormal, both float extremes, and values whose
+# shortest repr has 1 or 17 significant digits.
+_EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                0.1, 2.0000000000000004]
+_EDGE_TM_SHA256 = "953d258301687148686346c5d337b4a3e5d20beb15a9e8013b339c303f924656"
+
+
 def test_tm_round_trip(tmp_path):
     tm = random_tm(6, 77)
     path = tmp_path / "tm.txt"
@@ -253,6 +262,16 @@ def test_tm_round_trip(tmp_path):
     assert back.m_spatial == tm.m_spatial
     assert back.seed == tm.seed
     assert np.array_equal(back.entries, tm.entries)
+
+    # 2M x 2M entries, real and imaginary parts cycling through the edge values
+    parts = np.resize(np.array(_EDGE_FLOATS), 2 * 4 * 4)
+    edge = TransmissionMatrix(2, parts.view(complex).reshape(4, 4), seed=2**64 - 1)
+    path = tmp_path / "edge.txt"
+    save_tm(edge, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _EDGE_TM_SHA256
+    back = load_tm(path)
+    assert back.seed == edge.seed
+    assert back.entries.tobytes() == edge.entries.tobytes()
 
 
 def test_tm_load_rejects_bad_header(tmp_path):
@@ -267,3 +286,33 @@ def test_tm_load_rejects_missing_entries(tmp_path):
     path.write_text("TM v1 M=1 seed=0\n0 H 0 H 1 0\n")
     with pytest.raises(ValueError):
         load_tm(path)
+
+
+_VALID_TM = ["TM v1 M=1 seed=0", "0 H 0 H 1 0", "0 H 0 V 0 0", "0 V 0 H 0 0", "0 V 0 V 1 0"]
+_BAD_TM_LINES = {
+    "blank": "", "comment": "0 V 0 H 0 0 # c", "letters-HV": "0 HV 0 H 0 0",
+    "letter-X": "0 X 0 H 0 0", "letter-h": "0 V 0 h 0 0", "k-is-M": "1 V 0 H 0 0",
+    "j-negative": "0 V -1 H 0 0", "5-fields": "0 V 0 H 0", "7-fields": "0 V 0 H 0 0 0",
+    "index-0.0": "0.0 V 0 H 0 0", "value-abc": "0 V 0 H abc 0",
+    "duplicate": "0 H 0 H 1 0",  # in place of the missing "0 V 0 H" entry
+}
+_BAD_TM_FILES = {
+    **{name: "\n".join([*_VALID_TM[:3], line, _VALID_TM[4]]) + "\n"
+       for name, line in _BAD_TM_LINES.items()},
+    "header-only": _VALID_TM[0] + "\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("text", _BAD_TM_FILES.values(), ids=_BAD_TM_FILES.keys())
+def test_tm_load_rejects_malformed_file(tmp_path, text):
+    path = tmp_path / "tm.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_tm(path)
+
+
+def test_tm_load_accepts_any_line_order(tmp_path):
+    path = tmp_path / "tm.txt"
+    path.write_text("\n".join([_VALID_TM[0], *reversed(_VALID_TM[1:])]) + "\n")
+    assert np.array_equal(load_tm(path).entries, np.eye(2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speckle_bell.medium import POL_H, POL_V, projector_from_tm, random_tm
+from speckle_bell.medium import POL_H, POL_V, bob_projector_set, random_tm
 from speckle_bell.pairsource import (
     DelayModel,
     PairStateModel,
@@ -112,8 +112,8 @@ def test_two_outcome_completeness():
     tm = random_tm(30, 8)
     rng = np.random.default_rng(22)
     for k in (0, 7, 19):
-        p_h = projector_from_tm(tm, k, POL_H, 0)
-        p_v = projector_from_tm(tm, k, POL_V, 0)
+        p_h = bob_projector_set(tm, [k], 0)[POL_H]
+        p_v = bob_projector_set(tm, [k], 0)[POL_V]
         routed = (p_h.weight + p_v.weight) / 2
         alice = random_state(rng)
         totals = []
@@ -257,7 +257,7 @@ def test_contrast_desk_scale_panel():
     tm = random_tm(50, 12)
     nu0 = 0.93
     projs = [
-        projector_from_tm(tm, k, pol, 0)
+        bob_projector_set(tm, [k], 0)[pol]
         for k in (3, 11, 24, 40)
         for pol in (POL_H, POL_V)
     ]
