@@ -3,9 +3,7 @@
 Every subcommand is a pure function of (config file, flags, seed): rerunning
 with the same inputs produces byte-identical files.  ``tm.txt`` is the one
 exception across machines: the full channel matrix's QR, and so its bytes,
-can depend on the BLAS thread count; the input-mode block that the other
-subcommands read does not, at input_mode 0.  Outputs land in
-``<out>/run_<seed>/``.
+can depend on the BLAS thread count.  Outputs land in ``<out>/run_<seed>/``.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ class ExperimentConfig:
     noiseless: bool = False
     seed: int = 0
     alice_draws: int = 1
-    input_mode: int = 0
     hist_bin_width: float = 0.05
     hist_lo: float = 0.0
     hist_hi: float = 3.0
@@ -77,6 +74,10 @@ class ExperimentConfig:
 
     def validate(self) -> ExperimentConfig:
         """Return self, or raise ConfigError naming the first bad field."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.m_spatial < 1:
             raise ConfigError(f"m_spatial must be >= 1, got {self.m_spatial}")
         if 16 * (2 * self.m_spatial) ** 2 > MAX_TM_BYTES:
@@ -95,10 +96,6 @@ class ExperimentConfig:
         if not self.coherence_length > 0:
             raise ConfigError(
                 f"coherence_length must be positive, got {self.coherence_length}"
-            )
-        if not 0 <= self.input_mode < self.m_spatial:
-            raise ConfigError(
-                f"input_mode must be in [0, {self.m_spatial}), got {self.input_mode}"
             )
         if self.alice_draws < 1:
             raise ConfigError(f"alice_draws must be >= 1, got {self.alice_draws}")
@@ -188,13 +185,13 @@ def channel(cfg: ExperimentConfig) -> medium.HaarChannel:
 
 def build_channel(cfg: ExperimentConfig):
     """Seeded channel, selected positions and Bob's projector set, which
-    reads only the input mode's two columns."""
+    reads only the lit input mode's two columns."""
     tm = channel(cfg)
     rng = np.random.default_rng(derive_seed(cfg.seed, _TAG_POSITIONS))
     positions = sorted(
         int(p) for p in rng.choice(cfg.m_spatial, cfg.n_positions, replace=False)
     )
-    projectors = medium.bob_projector_set(tm, positions, cfg.input_mode)
+    projectors = medium.bob_projector_set(tm, positions)
     return tm, positions, projectors
 
 
@@ -303,17 +300,13 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_speckle(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = run_dir(args.out, cfg.seed)
-    states = {
-        "H": PoincareState(0.0, 0.0),
-        "V": PoincareState(math.pi, 0.0),
-        "D": PoincareState(math.pi / 2, 0.0),
-        "A": PoincareState(math.pi / 2, math.pi),
-        "R": PoincareState(math.pi / 2, math.pi / 2),
-        "L": PoincareState(math.pi / 2, 3 * math.pi / 2),
-    }
-    pattern = medium.speckle_intensity(
-        channel(cfg), amplitude_vector(states[args.input_pol]), cfg.input_mode
-    )
+    theta, phi = {
+        "H": (0.0, 0.0), "V": (math.pi, 0.0), "D": (math.pi / 2, 0.0),
+        "A": (math.pi / 2, math.pi), "R": (math.pi / 2, math.pi / 2),
+        "L": (math.pi / 2, 3 * math.pi / 2),
+    }[args.input_pol]
+    vector = amplitude_vector(PoincareState(theta, phi))
+    pattern = medium.speckle_intensity(channel(cfg), vector)
     path = out / "speckle.csv"
     medium.write_speckle_csv(pattern, path)
     print(f"stage: speckle pattern written to {path}")

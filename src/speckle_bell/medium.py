@@ -2,9 +2,9 @@
 
 The channel is a Haar-random unitary over the joint (spatial x polarization)
 mode space, the lossless idealization of a strongly mixing multimode fiber.
-Each output spatial mode, observed behind an H or V analyzer, realizes an
-effective polarization projector on the chosen input mode; the projector
-parameters follow directly from the channel coefficients.
+Light enters through input mode 0 alone.  Each output spatial mode, observed
+behind an H or V analyzer, realizes an effective polarization projector on it;
+the projector parameters follow directly from the channel coefficients.
 """
 
 from __future__ import annotations
@@ -48,20 +48,14 @@ class TransmissionMatrix:
             object.__setattr__(self, "entries", self.entries.astype(complex))
         self.entries.setflags(write=False)
 
-    def columns(self, b: int) -> np.ndarray:
-        """The (2M, 2) block of columns ``2b, 2b+1``: input mode ``b``, H then V."""
-        _check_mode(self.m_spatial, b)
-        return self.entries[:, 2 * b : 2 * b + 2]
+    def columns(self) -> np.ndarray:
+        """The (2M, 2) block of the lit input mode: columns 0 and 1, H then V."""
+        return self.entries[:, :2]
 
     def unitarity_residual(self) -> float:
         """Max absolute entry of T^dagger T - I."""
         n = 2 * self.m_spatial
         return float(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(n))))
-
-
-def _check_mode(m_spatial: int, index: int) -> None:
-    if not 0 <= index < m_spatial:
-        raise ValueError(f"spatial mode {index} out of range [0, {m_spatial})")
 
 
 @dataclass(frozen=True)
@@ -119,13 +113,12 @@ def random_tm(m_spatial: int, seed: int) -> TransmissionMatrix:
     return TransmissionMatrix(m_spatial, entries, int(seed))
 
 
-def haar_columns(m_spatial: int, seed: int, b: int) -> np.ndarray:
-    """Columns ``2b, 2b+1`` of ``random_tm(m_spatial, seed)`` as a read-only
-    (2M, 2) block, from the QR of only the leading ``2b + 2`` Gaussian
-    columns: O(M (b+1)) memory instead of O(M^2).
+def haar_columns(m_spatial: int, seed: int) -> np.ndarray:
+    """Columns 0 and 1 of ``random_tm(m_spatial, seed)``, the lit input mode,
+    as a read-only (2M, 2) block from the QR of only the leading two Gaussian
+    columns: O(M) memory instead of O(M^2).
     """
-    _check_mode(m_spatial, b)
-    block = _haar_leading(m_spatial, seed, 2 * b + 2)[:, 2 * b :]
+    block = _haar_leading(m_spatial, seed, 2)
     block.setflags(write=False)
     return block
 
@@ -133,15 +126,15 @@ def haar_columns(m_spatial: int, seed: int, b: int) -> np.ndarray:
 @dataclass(frozen=True)
 class HaarChannel:
     """The seeded channel of :func:`random_tm`, sampled only where it is read:
-    :meth:`columns` gives one input mode's block, and the full ``entries``
+    :meth:`columns` gives the lit input mode's block, and the full ``entries``
     are drawn on first access."""
 
     m_spatial: int
     seed: int
 
-    def columns(self, b: int) -> np.ndarray:
-        """The (2M, 2) block of input mode ``b``, as :func:`haar_columns`."""
-        return haar_columns(self.m_spatial, self.seed, b)
+    def columns(self) -> np.ndarray:
+        """The (2M, 2) block of the lit input mode, as :func:`haar_columns`."""
+        return haar_columns(self.m_spatial, self.seed)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -150,7 +143,7 @@ class HaarChannel:
 
 
 def _projector(coefficients: np.ndarray) -> Projector:
-    """Effective polarization projector of one output row of an input-mode block.
+    """Effective polarization projector of one output row of the input-mode block.
 
     For coefficients ``t_h`` (from input H) and ``t_v`` (from input V) into
     that output, the projector has ``|c| = sqrt(|t_v|^2 + |t_h|^2)``,
@@ -173,30 +166,30 @@ def _projector(coefficients: np.ndarray) -> Projector:
 
 
 def bob_projector_set(
-    tm: TransmissionMatrix | HaarChannel, positions: list[int], b: int
+    tm: TransmissionMatrix | HaarChannel, positions: list[int]
 ) -> list[Projector]:
     """Projectors for every (position, detector) pair, position-major, H first.
 
     ``tm`` is a :class:`TransmissionMatrix` or :class:`HaarChannel`; only its
-    input-mode block ``tm.columns(b)`` is read.
+    input-mode block ``tm.columns()`` is read.
     """
     if not positions:
         raise ValueError("positions must be non-empty")
     if len(set(positions)) != len(positions):
         raise ValueError(f"duplicate positions in {positions}")
-    for k in positions:
-        _check_mode(tm.m_spatial, k)
-    block = tm.columns(b)
+    if not all(0 <= k < tm.m_spatial for k in positions):
+        raise ValueError(f"positions {positions} out of range [0, {tm.m_spatial})")
+    block = tm.columns()
     return [_projector(block[2 * k + pol]) for k in positions for pol in (POL_H, POL_V)]
 
 
 def speckle_intensity(
-    tm: TransmissionMatrix | HaarChannel, input_vector: AmplitudeVector, b: int
+    tm: TransmissionMatrix | HaarChannel, input_vector: AmplitudeVector
 ) -> SpecklePattern:
-    """Output intensity pattern for a unit-norm input state at mode ``b``."""
+    """Output intensity pattern for a unit-norm input state in the lit mode."""
     if abs(input_vector.norm_sq() - 1.0) > 1e-9:
         raise ValueError("input amplitude vector must be unit-norm")
-    block = tm.columns(b)
+    block = tm.columns()
     out = block[:, 0] * input_vector.h + block[:, 1] * input_vector.v
     intensity = np.abs(out) ** 2
     return SpecklePattern(intensity[POL_H::2].copy(), intensity[POL_V::2].copy())
@@ -239,10 +232,17 @@ def load_tm(path: str | Path) -> TransmissionMatrix:
     # Letters as "U2", not "U1", so that "HV" is rejected instead of cut to "H".
     try:
         data = np.loadtxt(body, dtype="i8,U2,i8,U2,f8,f8", comments=None, ndmin=1)
+        if len(data) != len(body):  # loadtxt skips blank lines
+            raise ValueError(f"{len(body) - len(data)} blank lines")
     except ValueError as exc:
+        # Name the first file line that is not "int str int str float float".
+        for i, line in enumerate(body):
+            try:
+                k, _, j, _, x, y = line.split()
+                int(k), int(j), float(x), float(y)
+            except ValueError:
+                raise ValueError(f"{path}:{i + 2}: malformed entry line: {line!r}") from None
         raise ValueError(f"{path}: {exc}") from None
-    if len(data) != len(body):  # loadtxt skips blank lines
-        raise ValueError(f"{path}: {len(body) - len(data)} blank lines")
     k, p_out, j, p_in, re, im = (data[name] for name in data.dtype.names)
     valid = (np.isin(p_out, ("H", "V")) & np.isin(p_in, ("H", "V"))
              & (0 <= k) & (k < m_spatial) & (0 <= j) & (j < m_spatial))

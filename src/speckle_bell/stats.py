@@ -51,6 +51,12 @@ class AcquisitionConfig:
             )
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
+        # A cell's Poisson mean is at most count_scale / 2; numpy's limit is about 9.2e18.
+        if not self.count_scale <= 1e19:
+            raise ValueError(
+                f"pair_rate * efficiency**2 * integration_time must be at most 1e19, "
+                f"got {self.count_scale:g}"
+            )
 
     @property
     def count_scale(self) -> float:

@@ -234,7 +234,7 @@ def test_criterion_8_medium_properties():
     t0 = time.time()
     tm = random_tm(200, 108)
     residual = tm.unitarity_residual()
-    pattern = speckle_intensity(tm, AmplitudeVector(1.0, 0.0), 0)
+    pattern = speckle_intensity(tm, AmplitudeVector(1.0, 0.0))
     conservation = abs(np.sum(pattern.intensity_h) + np.sum(pattern.intensity_v) - 1.0)
     samples = np.concatenate([pattern.intensity_h, pattern.intensity_v])
     _, p = scipy_stats.kstest(samples * (2 * tm.m_spatial), "expon")

@@ -153,7 +153,7 @@ def test_build_bob_bases_counts_and_labels():
 
 def test_enumerate_counts_n30():
     tm = random_tm(40, 2)
-    projectors = bob_projector_set(tm, list(range(15)), 0)
+    projectors = bob_projector_set(tm, list(range(15)))
     rng = np.random.default_rng(33)
     enum = enumerate_s(random_alice_pair(rng), projectors, 0.93)
     assert enum.s.size == 189_225

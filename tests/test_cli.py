@@ -54,9 +54,11 @@ def test_parse_config_file(small_config):
 
 def test_parse_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("m_spatil = 8\n")
-    with pytest.raises(ConfigError, match="m_spatil"):
-        parse_config_file(path)
+    # input_mode is gone: mode 0 is the one lit input mode
+    for line, key in (("m_spatil = 8", "m_spatil"), ("input_mode = 0", "input_mode")):
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+            parse_config_file(path)
 
 
 def test_parse_config_rejects_bad_value(tmp_path):
@@ -86,6 +88,20 @@ def test_config_validation_names_field():
             ExperimentConfig(m_spatial=m).validate()
     for m in (1000, 2896):  # the wide-fiber benchmark and the largest accepted
         ExperimentConfig(m_spatial=m).validate()
+    # non-finite floats are named before any run uses them
+    inf, nan = math.inf, math.nan
+    for field, value in (("hist_hi", inf), ("hist_bin_width", inf), ("hist_lo", -inf),
+                         ("coherence_length", inf), ("pair_rate", inf),
+                         ("integration_time", nan), ("visibility", nan)):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            ExperimentConfig(**{field: value}).validate()
+    # every cell's Poisson mean (at most count_scale / 2) must stay in numpy's range
+    for values in ({"integration_time": 1e300}, {"pair_rate": 1e18}):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**values).validate()
+        for field in ("pair_rate", "efficiency", "integration_time"):
+            assert field in str(exc.value)
+    ExperimentConfig(pair_rate=1e19, efficiency=1.0, integration_time=1.0).validate()
 
 
 def test_flags_override_config(small_config, tmp_path):
@@ -276,6 +292,29 @@ def test_sweep_rejects_bad_nus(tmp_path, small_config, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert not list(out.glob("run_*"))  # rejected before any file is written
+
+
+# Configs that would fail partway through a run; validate() must reject them first.
+_UNRUNNABLE_CONFIGS = {
+    "chsh-inf-histogram": ("chsh", "hist_hi = inf\nhist_bin_width = inf", "hist_bin_width"),
+    "sweep-inf-histogram": ("sweep", "hist_hi = inf\nhist_bin_width = inf", "hist_bin_width"),
+    "chsh-huge-integration": ("chsh", "integration_time = 1e300", "integration_time"),
+    "chsh-inf-pair-rate": ("chsh", "pair_rate = inf", "pair_rate"),
+    "hom-inf-coherence": ("hom", "coherence_length = inf", "coherence_length"),
+}
+
+
+@pytest.mark.parametrize(
+    ("command", "config", "field"), _UNRUNNABLE_CONFIGS.values(), ids=_UNRUNNABLE_CONFIGS.keys()
+)
+def test_unrunnable_config_writes_nothing(tmp_path, capsys, command, config, field):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"m_spatial = 12\nn_positions = 4\n{config}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.strip().count("\n") == 0 and field in err
+    assert not list(out.glob("run_*"))
 
 
 def test_tm_rejects_oversized_channel(tmp_path, capsys):

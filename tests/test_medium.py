@@ -66,23 +66,21 @@ def test_haar_columns_match_random_tm():
         for seed in (0, 5, 123):
             entries = random_tm(m, seed).entries
             channel = HaarChannel(m, seed)
-            for b in range(m):
-                block = haar_columns(m, seed, b)
-                assert not block.flags.writeable
-                assert block.tobytes() == entries[:, 2 * b : 2 * b + 2].tobytes()
-                assert channel.columns(b).tobytes() == block.tobytes()
+            block = haar_columns(m, seed)
+            assert not block.flags.writeable
+            assert block.tobytes() == entries[:, :2].tobytes()
+            assert channel.columns().tobytes() == block.tobytes()
+            assert TransmissionMatrix(m, entries).columns().tobytes() == block.tobytes()
             assert channel.entries.tobytes() == entries.tobytes()
-    with pytest.raises(ValueError):
-        haar_columns(3, 0, 3)
 
 
-# Digests of the input-mode-0 block under this process's BLAS threads, and of
+# Digests of the lit input mode's block under this process's BLAS threads, and of
 # the same columns of the full unitary.
 _THREAD_PROBE = """
 import hashlib
 from speckle_bell.medium import haar_columns, random_tm
 for seed in (3, 41):
-    print(hashlib.sha256(haar_columns(200, seed, 0).tobytes()).hexdigest(),
+    print(hashlib.sha256(haar_columns(200, seed).tobytes()).hexdigest(),
           hashlib.sha256(random_tm(200, seed).entries[:, :2].tobytes()).hexdigest())
 """
 
@@ -103,7 +101,7 @@ def test_haar_columns_independent_of_blas_threads():
 
 
 def test_projector_identity_h_detector():
-    p = bob_projector_set(identity_tm(3), [1], 1)[POL_H]
+    p = bob_projector_set(identity_tm(3), [0])[POL_H]
     assert p.amplitude == 1.0
     assert p.state.theta == 0.0 and p.state.phi == 0.0
 
@@ -111,7 +109,7 @@ def test_projector_identity_h_detector():
 def test_projector_identity_v_detector():
     # limit of the angle formulas as the H coefficient vanishes; the
     # projected state must be V, confirmed by the overlap oracle
-    p = bob_projector_set(identity_tm(3), [2], 2)[POL_V]
+    p = bob_projector_set(identity_tm(3), [0])[POL_V]
     assert abs(p.amplitude - 1.0) < 1e-12
     assert p.state.theta == math.pi and p.state.phi == 0.0
     from speckle_bell.polarization import PoincareState, overlap
@@ -125,7 +123,7 @@ def test_projector_direct_substitution():
     entries[0, 0] = 1 / math.sqrt(2)       # t^HH at (k=0, b=0)
     entries[0, 1] = 1j / math.sqrt(2)      # t^HV
     tm = TransmissionMatrix(m, entries)
-    p = bob_projector_set(tm, [0], 0)[POL_H]
+    p = bob_projector_set(tm, [0])[POL_H]
     assert abs(abs(p.amplitude) - 1.0) < 1e-12
     assert abs(p.state.theta - math.pi / 2) < 1e-12
     assert abs(p.state.phi - math.pi / 2) < 1e-12
@@ -136,23 +134,23 @@ def test_projector_dark():
     entries = np.zeros((2 * m, 2 * m), dtype=complex)
     entries[2, 2] = 1.0
     tm = TransmissionMatrix(m, entries)
-    p = bob_projector_set(tm, [0], 0)[POL_H]
+    p = bob_projector_set(tm, [0])[POL_H]
     assert p.amplitude == 0 and p.weight == 0.0
 
 
 def test_projector_out_of_range():
     with pytest.raises(ValueError):
-        bob_projector_set(identity_tm(2), [5], 0)
+        bob_projector_set(identity_tm(2), [5])
 
 
 def test_bob_projector_set_counts():
     tm = random_tm(20, 3)
-    assert len(bob_projector_set(tm, list(range(15)), 0)) == 30
-    assert len(bob_projector_set(tm, [0, 3, 7, 9], 0)) == 8
+    assert len(bob_projector_set(tm, list(range(15)))) == 30
+    assert len(bob_projector_set(tm, [0, 3, 7, 9])) == 8
 
 
 def test_bob_projector_set_identity_pair():
-    projs = bob_projector_set(identity_tm(2), [1], 1)
+    projs = bob_projector_set(identity_tm(2), [0])
     assert len(projs) == 2
     assert projs[0].state.theta == 0.0  # H detector first
     assert projs[1].state.theta == math.pi
@@ -160,23 +158,22 @@ def test_bob_projector_set_identity_pair():
 
 def test_bob_projector_set_rejects_duplicates():
     with pytest.raises(ValueError):
-        bob_projector_set(random_tm(4, 0), [1, 1], 0)
+        bob_projector_set(random_tm(4, 0), [1, 1])
     with pytest.raises(ValueError):
-        bob_projector_set(random_tm(4, 0), [], 0)
+        bob_projector_set(random_tm(4, 0), [])
 
 
 def test_projector_energy_accounting():
     # |c|^2 summed over output modes and both detectors covers both input
     # polarization columns, hence 2; a single input column routes energy 1
     tm = random_tm(40, 5)
-    b = 3
     total_c = 0.0
     for k in range(tm.m_spatial):
         for pol in (POL_H, POL_V):
-            total_c += bob_projector_set(tm, [k], b)[pol].weight
+            total_c += bob_projector_set(tm, [k])[pol].weight
     assert abs(total_c - 2.0) < 1e-10
-    col_h = np.sum(np.abs(tm.entries[:, 2 * b]) ** 2)
-    col_v = np.sum(np.abs(tm.entries[:, 2 * b + 1]) ** 2)
+    col_h = np.sum(np.abs(tm.entries[:, 0]) ** 2)
+    col_v = np.sum(np.abs(tm.entries[:, 1]) ** 2)
     assert abs(col_h - 1.0) < 1e-10 and abs(col_v - 1.0) < 1e-10
 
 
@@ -187,8 +184,8 @@ def test_detector_angles_uncorrelated():
     for seed in range(10):
         tm = random_tm(200, 100 + seed)
         for k in range(tm.m_spatial):
-            ph = bob_projector_set(tm, [k], 0)[POL_H]
-            pv = bob_projector_set(tm, [k], 0)[POL_V]
+            ph = bob_projector_set(tm, [k])[POL_H]
+            pv = bob_projector_set(tm, [k])[POL_V]
             thetas_h.append(ph.state.theta)
             thetas_v.append(pv.state.theta)
             phis_h.append(ph.state.phi)
@@ -214,12 +211,12 @@ def test_eigenphases_uniform():
 
 
 def test_speckle_identity_routes_input():
-    pattern = speckle_intensity(identity_tm(4), AmplitudeVector(1.0, 0.0), 2)
-    assert abs(pattern.intensity_h[2] - 1.0) < 1e-12
+    pattern = speckle_intensity(identity_tm(4), AmplitudeVector(1.0, 0.0))
+    assert abs(pattern.intensity_h[0] - 1.0) < 1e-12
     total = np.sum(pattern.intensity_h) + np.sum(pattern.intensity_v)
     assert total == pytest.approx(1.0, abs=1e-10)
     mask = np.ones(4, dtype=bool)
-    mask[2] = False
+    mask[0] = False
     assert np.max(pattern.intensity_h[mask]) < 1e-12
     assert np.max(pattern.intensity_v) < 1e-12
 
@@ -227,19 +224,19 @@ def test_speckle_identity_routes_input():
 def test_speckle_conserves_intensity():
     tm = random_tm(100, 17)
     v = AmplitudeVector(0.6, 0.8j)
-    pattern = speckle_intensity(tm, v, 42)
+    pattern = speckle_intensity(tm, v)
     assert abs(np.sum(pattern.intensity_h) + np.sum(pattern.intensity_v) - 1.0) < 1e-10
 
 
 def test_speckle_rejects_unnormalized_input():
     with pytest.raises(ValueError):
-        speckle_intensity(random_tm(4, 0), AmplitudeVector(1.0, 1.0), 0)
+        speckle_intensity(random_tm(4, 0), AmplitudeVector(1.0, 1.0))
 
 
 def test_speckle_intensities_exponential():
     scipy_stats = pytest.importorskip("scipy.stats")
     tm = random_tm(200, 31)
-    pattern = speckle_intensity(tm, AmplitudeVector(1.0, 0.0), 0)
+    pattern = speckle_intensity(tm, AmplitudeVector(1.0, 0.0))
     samples = np.concatenate([pattern.intensity_h, pattern.intensity_v])
     # unit column norm fixes the theoretical mean at 1/(2M)
     scaled = samples * (2 * tm.m_spatial)
@@ -304,11 +301,18 @@ _BAD_TM_FILES = {
 }
 
 
-@pytest.mark.parametrize("text", _BAD_TM_FILES.values(), ids=_BAD_TM_FILES.keys())
-def test_tm_load_rejects_malformed_file(tmp_path, text):
+# Cases that fail the six-field parse, named by their file line (line 4).
+_UNPARSABLE_TM = ("blank", "comment", "5-fields", "7-fields", "index-0.0", "value-abc")
+
+
+@pytest.mark.parametrize(
+    ("name", "text"), _BAD_TM_FILES.items(), ids=_BAD_TM_FILES.keys()
+)
+def test_tm_load_rejects_malformed_file(tmp_path, name, text):
     path = tmp_path / "tm.txt"
     path.write_text(text)
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    where = f"{path}:4: malformed entry line" if name in _UNPARSABLE_TM else str(path)
+    with pytest.raises(ValueError, match=re.escape(where)):
         load_tm(path)
 
 

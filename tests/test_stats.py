@@ -88,6 +88,8 @@ def test_acquisition_config_validation():
         AcquisitionConfig(efficiency=1.5)
     with pytest.raises(ValueError):
         AcquisitionConfig(integration_time=-1)
+    with pytest.raises(ValueError, match="efficiency"):  # count scale above 1e19
+        AcquisitionConfig(pair_rate=float("inf"))
 
 
 def test_count_record_validation():
