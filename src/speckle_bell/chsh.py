@@ -10,6 +10,7 @@ further normalization.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,9 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 DENOMINATOR_EPS = 1e-300
 
 _SEARCH_CHUNK = 50_000
+
+# Rows of S per tile when S is streamed (about 220 KB of float64 at B = 435).
+_S_TILE_ROWS = 64
 
 
 class UndefinedCorrelationError(ValueError):
@@ -173,12 +177,37 @@ def cell_correlations(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, defined
 
 
-def s_combination(e_a: np.ndarray, e_ap: np.ndarray) -> np.ndarray:
-    """|E(A,B_K) + E(A',B_K) + E(A,B_K') - E(A',B_K')| over all (K, K'), in
-    :func:`s_value`'s arithmetic order, from per-basis E of A and A'."""
-    s = (e_a[:, None] + e_ap[:, None]) + e_a[None, :]
+def basis_correlations(
+    alice_pair: tuple[MeasurementBasis, MeasurementBasis],
+    bob_projectors: list[Projector],
+    nu: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """E of A and A' with every Bob basis, shape (2, B), and the (B,) mask of
+    bases where both are defined; undefined E is NaN."""
+    e, defined = cell_correlations(basis_cells(rate_matrix(alice_pair, bob_projectors, nu)))
+    return e, defined.all(0)
+
+
+def s_combination(
+    e_a: np.ndarray, e_ap: np.ndarray, rows: slice = slice(None), out: np.ndarray | None = None
+) -> np.ndarray:
+    """|E(A,B_K) + E(A',B_K) + E(A,B_K') - E(A',B_K')| for K in ``rows`` and
+    every K', in :func:`s_value`'s arithmetic order, from per-basis E of A
+    and A'; written into ``out`` when it is given."""
+    s = np.add((e_a[rows] + e_ap[rows])[:, None], e_a[None, :], out=out)
     np.subtract(s, e_ap[None, :], out=s)
     return np.abs(s, out=s)
+
+
+def s_tiles(e_a: np.ndarray, e_ap: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows of ``s_combination(e_a, e_ap)`` in K order, ``_S_TILE_ROWS``
+    at a time.  Every tile is written into one buffer, so a tile is valid
+    only until the next one is drawn."""
+    n = e_a.size
+    buffer = np.empty((min(_S_TILE_ROWS, n), n))
+    for start in range(0, n, _S_TILE_ROWS):
+        stop = min(start + _S_TILE_ROWS, n)
+        yield s_combination(e_a, e_ap, slice(start, stop), buffer[: stop - start])
 
 
 def s_grid(
@@ -191,8 +220,8 @@ def s_grid(
     Also returns the per-basis defined mask; rows/columns of undefined
     bases are NaN.  Entry orderings and arithmetic match :func:`s_value`.
     """
-    e, defined = cell_correlations(basis_cells(rate_matrix(alice_pair, bob_projectors, nu)))
-    return s_combination(e[0], e[1]), defined.all(0)
+    e, defined = basis_correlations(alice_pair, bob_projectors, nu)
+    return s_combination(e[0], e[1]), defined
 
 
 def restrict_to_defined(alice_pair, s, sigma, defined: np.ndarray) -> SEnumeration:

@@ -105,6 +105,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"need hist_lo < hist_hi, got ({self.hist_lo}, {self.hist_hi})"
             )
+        if not math.isfinite(self.hist_hi - self.hist_lo):
+            raise ConfigError(
+                f"hist_hi - hist_lo must be finite, got ({self.hist_lo}, {self.hist_hi})"
+            )
         # Also rejects a width <= 0, since hist_hi - hist_lo > 0.
         if not self.hist_bin_width >= (self.hist_hi - self.hist_lo) / MAX_HIST_BINS:
             raise ConfigError(
@@ -220,6 +224,22 @@ def chsh_enumeration(cfg: ExperimentConfig) -> chsh.SEnumeration:
     return stats.noisy_enumerate(alice_pair, projectors, cfg.visibility, cfg.acquisition)
 
 
+def sweep_counts(cfg: ExperimentConfig, alice_pairs, projectors, nu: float):
+    """Histogram count vector, number of S above 2 and number of S, summed
+    over the defined (K, K') of every Alice pair.  S is streamed in row tiles
+    of :func:`chsh.s_tiles`, so no (D, D) grid is held."""
+    bounds = (cfg.hist_lo, cfg.hist_hi)
+    counts = stats.histogram((), cfg.hist_bin_width, bounds)
+    above = total = 0
+    for alice_pair in alice_pairs:
+        e, defined = chsh.basis_correlations(alice_pair, projectors, nu)
+        for tile in chsh.s_tiles(*e[:, defined]):
+            counts += stats.histogram(tile, cfg.hist_bin_width, bounds)
+            above += int(np.count_nonzero(tile > 2.0))
+            total += tile.size
+    return counts, above, total
+
+
 def cmd_chsh(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = run_dir(args.out, cfg.seed)
     print(f"stage: channel ({cfg.m_spatial} spatial modes, seed {cfg.seed})")
@@ -280,13 +300,9 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     )
     summary = ["nu,draws,records_per_draw,mean_fraction_above_2"]
     bounds = (cfg.hist_lo, cfg.hist_hi)
+    alice_pairs = [draw_alice_pair(cfg, draw) for draw in range(cfg.alice_draws)]
     for nu in nu_list:
-        counts = above = total = 0
-        for draw in range(cfg.alice_draws):
-            s = chsh.enumerate_s(draw_alice_pair(cfg, draw), projectors, nu).s
-            counts = counts + stats.histogram(s, cfg.hist_bin_width, bounds)
-            above += int(np.count_nonzero(s > 2.0))
-            total += s.size
+        counts, above, total = sweep_counts(cfg, alice_pairs, projectors, nu)
         path = out / f"sweep_hist_nu_{nu:g}.csv"
         stats.write_histogram_csv(counts / cfg.alice_draws, cfg.hist_bin_width, bounds, path)
         fraction = above / total if total else 0.0

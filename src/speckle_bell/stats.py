@@ -235,6 +235,10 @@ def histogram(
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
     ratio = (hi - lo) / bin_width
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"(hi - lo) / bin_width must be finite, got ({lo}, {hi}) and {bin_width}"
+        )
     nbins = int(math.floor(ratio))
     if ratio - nbins > 1e-9:
         nbins += 1

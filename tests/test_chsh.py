@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from speckle_bell import chsh
 from speckle_bell.chsh import (
     TSIRELSON,
     MeasurementBasis,
     UndefinedCorrelationError,
     alice_basis,
+    basis_correlations,
     build_bob_bases,
     correlation,
     enumerate_s,
     max_violation_search,
     s_grid,
+    s_tiles,
     s_value,
     write_srecords_csv,
 )
@@ -241,6 +244,19 @@ def test_s_grid_symmetric_inputs():
     assert grid.shape == (10, 10)
     assert defined.all()
     assert np.all(grid >= -1e-15)
+
+
+@pytest.mark.parametrize("tile_rows, heights", [(1, [1] * 15), (7, [7, 7, 1]), (10**6, [15])])
+def test_s_tiles_match_s_grid(monkeypatch, tile_rows, heights):
+    monkeypatch.setattr(chsh, "_S_TILE_ROWS", tile_rows)
+    rng = np.random.default_rng(42)
+    alice = random_alice_pair(rng)
+    projectors = random_projectors(rng, 6)
+    grid, _ = s_grid(alice, projectors, 0.9)
+    e, _ = basis_correlations(alice, projectors, 0.9)
+    tiles = [tile.copy() for tile in s_tiles(e[0], e[1])]
+    assert [len(tile) for tile in tiles] == heights
+    assert np.concatenate(tiles).tobytes() == grid.tobytes()  # bit for bit
 
 
 # -------------------------------------------------------------------- search

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from speckle_bell import chsh
 from speckle_bell.cli import (
     CONFIG_DEFAULTS,
     ConfigError,
@@ -13,10 +14,14 @@ from speckle_bell.cli import (
     build_config,
     chsh_enumeration,
     derive_seed,
+    draw_alice_pair,
     main,
     make_parser,
     parse_config_file,
+    sweep_counts,
 )
+from speckle_bell.polarization import PoincareState, Projector
+from speckle_bell.stats import histogram
 
 SMALL_CONFIG = """
 # small, fast scenario
@@ -82,6 +87,9 @@ def test_config_validation_names_field():
     for width in (0.0, -0.05, 1e-9):
         with pytest.raises(ConfigError, match="hist_bin_width"):
             ExperimentConfig(hist_bin_width=width).validate()
+    # a span that overflows to inf is the bounds' fault, not the width's (2e5 bins)
+    with pytest.raises(ConfigError, match="hist_hi - hist_lo"):
+        ExperimentConfig(hist_lo=-1e308, hist_hi=1e308, hist_bin_width=1e303).validate()
     # the channel matrix size is checked from the config, before it is sampled
     for m in (2897, 10**6):
         with pytest.raises(ConfigError, match="m_spatial"):
@@ -276,6 +284,35 @@ def test_sweep_ordering(tmp_path, small_config):
         lo, _, count = row.split(",")
         if float(lo) >= 2 * math.sqrt(2):
             assert float(count) == 0.0
+
+
+@pytest.mark.parametrize("tile_rows", [1, 7, 10**6])
+def test_sweep_counts_match_untiled_enumeration(monkeypatch, tile_rows):
+    """Tile heights that split the D = 44 defined bases unevenly (1, 7) or not
+    at all give the counts of the untiled enumeration; the (dark, dark) basis
+    is dropped before tiling."""
+    monkeypatch.setattr(chsh, "_S_TILE_ROWS", tile_rows)
+    cfg = ExperimentConfig(m_spatial=12, n_positions=4, hist_bin_width=0.07,
+                           hist_lo=0.5, hist_hi=2.1)
+    _, _, projectors = build_channel(cfg)
+    projectors += [Projector(0j, PoincareState(0.0, 0.0)),
+                   Projector(0j, PoincareState(1.0, 2.0))]
+    alice_pairs = [draw_alice_pair(cfg, draw) for draw in range(3)]
+    bounds = (cfg.hist_lo, cfg.hist_hi)
+    for nu in (0.0, 0.93, 1.0):
+        want_counts, want_above, want_total = 0, 0, 0
+        for alice_pair in alice_pairs:
+            enum = chsh.enumerate_s(alice_pair, projectors, nu)
+            assert enum.skipped == 45**2 - 44**2
+            want_counts = want_counts + histogram(enum.s, cfg.hist_bin_width, bounds)
+            want_above += int(np.count_nonzero(enum.s > 2.0))
+            want_total += enum.s.size
+        counts, above, total = sweep_counts(cfg, alice_pairs, projectors, nu)
+        assert counts.dtype == want_counts.dtype
+        assert counts.tolist() == want_counts.tolist()
+        assert (above, total) == (want_above, want_total)
+        assert counts[0] > 0  # underflow reached
+    assert counts[-1] > 0 and above > 0  # overflow reached at nu = 1
 
 
 def test_sweep_rejects_bad_nus(tmp_path, small_config, capsys):

@@ -29,11 +29,20 @@ visibility = 0
 integration_time = 0.3
 """
 
+# 24 projectors give 276 Bob bases: the sweep's S rows cross tile edges
+# (64 rows each, the last tile partial).
+TILES = """
+m_spatial = 40
+n_positions = 12
+visibility = 0.93
+"""
+
 CASES = {
     "chsh-noisy": (SMALL, ["chsh"]),
     "chsh-noiseless": (SMALL, ["chsh", "--noiseless"]),
     "chsh-separable-low-count": (SEPARABLE_LOW_COUNT, ["chsh"]),
     "sweep": (SMALL, ["sweep", "--nus", "0,0.93,1", "--alice-draws", "3"]),
+    "sweep-tiles": (TILES, ["sweep", "--nus", "0,0.93,1", "--alice-draws", "2"]),
     "hom": (SMALL, ["hom", "--position", "2", "--bob-detector", "2",
                     "--alice-hwp-deg", "10", "--alice-qwp-deg", "30"]),
     "speckle": (SMALL, ["speckle", "--input-pol", "R"]),
@@ -58,6 +67,10 @@ GOLDEN = {
     "sweep/sweep_hist_nu_0.csv": "61c202a67e9e185532ea3ca61102295d78e707d1d6aeedc9e76430cd17cef143",
     "sweep/sweep_hist_nu_1.csv": "e887db6669e9d19ed7e0a5d4d3be943ac2b537d70f98632f86f7d49184f470d9",
     "sweep/sweep_summary.csv": "57211cb49f446226838a272400b91871fa33eb8d255204940173302721f6b80f",
+    "sweep-tiles/sweep_hist_nu_0.93.csv": "0b984ebb36a6572903fa44e7a256dc64037fc9384ab68107a0d5847828159257",
+    "sweep-tiles/sweep_hist_nu_0.csv": "81da43fd7d7a6a256a64b1dc7be09e779871ee6cf00ee1c05a3d3403b34f789d",
+    "sweep-tiles/sweep_hist_nu_1.csv": "f7045117e9f33d7af58484633fc7261e81f2c7df4aaeaf84eee20671a71efc3e",
+    "sweep-tiles/sweep_summary.csv": "16eb2c41e10bc8d336a4cfe6ecd69cab4cf366da94e787ffd344670c36a62b57",
     "tm/tm.txt": "a98d67e0f54f324097df1cb7dda0be2c71e0e06264a4c05ca71a4d9dfec3b26f",
 }
 

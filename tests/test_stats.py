@@ -378,6 +378,11 @@ def test_histogram_rejects_bad_args():
         histogram([1.0], 0.1, (1.0, 0.0))
     with pytest.raises(ValueError):
         histogram([math.nan], 0.1, (0.0, 1.0))
+    # the bin count (hi - lo) / bin_width overflows to inf
+    with pytest.raises(ValueError):
+        histogram([0.0], 1e303, (-1e308, 1e308))
+    with pytest.raises(ValueError):
+        histogram([0.0], 5e-324, (0.0, 1.0))
 
 
 def test_histogram_csv(tmp_path):
