@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -73,13 +74,14 @@ class SRecord:
 
 @dataclass(frozen=True, eq=False)
 class SEnumeration:
-    """S and sigma over every ordered pair of defined Bob bases: entry [i, j]
-    of the (D, D) grids belongs to (K, K') = (labels[i], labels[j]), 1-based,
-    so row-major order is K-major.  Pairs with an undefined basis are skipped."""
+    """Per-basis E of one Alice pair: column i of the (2, D) ``e`` holds
+    E(A, B_K) and E(A', B_K) for the defined Bob basis K = labels[i], 1-based,
+    and ``var`` their variances, None when noiseless.  :func:`s_tiles` gives S
+    and sigma of every (K, K'), K-major; ``skipped`` counts the other pairs."""
 
     labels: np.ndarray
-    s: np.ndarray
-    sigma: np.ndarray
+    e: np.ndarray
+    var: np.ndarray | None
     alice_labels: tuple
     skipped: int = 0
 
@@ -165,27 +167,15 @@ def basis_cells(rates: np.ndarray) -> np.ndarray:
     return rates.reshape(2, 2, -1)[:, :, pairs].reshape(2, 4, -1)
 
 
-def cell_correlations(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E and its defined mask from (..., 4, B) cells, in :func:`correlation`'s
-    arithmetic order, so results are bit-identical; undefined E is NaN."""
+def cell_correlations(cells: np.ndarray) -> np.ndarray:
+    """E from (..., 4, B) cells, in :func:`correlation`'s arithmetic order, so
+    results are bit-identical; undefined E is NaN."""
     r11, r12, r21, r22 = np.moveaxis(cells, -2, 0)
     den = ((r11 + r12) + r21) + r22
-    defined = den > DENOMINATOR_EPS
     num = ((r11 - r12) - r21) + r22
     e = np.full(den.shape, np.nan)
-    np.divide(num, den, out=e, where=defined)
-    return e, defined
-
-
-def basis_correlations(
-    alice_pair: tuple[MeasurementBasis, MeasurementBasis],
-    bob_projectors: list[Projector],
-    nu: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """E of A and A' with every Bob basis, shape (2, B), and the (B,) mask of
-    bases where both are defined; undefined E is NaN."""
-    e, defined = cell_correlations(basis_cells(rate_matrix(alice_pair, bob_projectors, nu)))
-    return e, defined.all(0)
+    np.divide(num, den, out=e, where=den > DENOMINATOR_EPS)
+    return e
 
 
 def s_combination(
@@ -199,15 +189,22 @@ def s_combination(
     return np.abs(s, out=s)
 
 
-def s_tiles(e_a: np.ndarray, e_ap: np.ndarray) -> Iterator[np.ndarray]:
-    """The rows of ``s_combination(e_a, e_ap)`` in K order, ``_S_TILE_ROWS``
-    at a time.  Every tile is written into one buffer, so a tile is valid
-    only until the next one is drawn."""
-    n = e_a.size
-    buffer = np.empty((min(_S_TILE_ROWS, n), n))
+def s_tiles(enumeration: SEnumeration) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Aligned (S, sigma) tiles of ``_S_TILE_ROWS`` rows K by every K'.  S is
+    :func:`s_combination`, sigma the root of the four variances summed in its
+    order, or a read-only zero view when noiseless.  Tiles share buffers, so
+    a tile is valid only until the next one is drawn."""
+    (e_a, e_ap), var, n = enumeration.e, enumeration.var, enumeration.labels.size
+    s_buf = np.empty((min(_S_TILE_ROWS, n), n))
+    sigma_buf = np.broadcast_to(0.0, s_buf.shape) if var is None else np.empty_like(s_buf)
     for start in range(0, n, _S_TILE_ROWS):
-        stop = min(start + _S_TILE_ROWS, n)
-        yield s_combination(e_a, e_ap, slice(start, stop), buffer[: stop - start])
+        rows = slice(start, min(start + _S_TILE_ROWS, n))
+        s = s_combination(e_a, e_ap, rows, s_buf[: rows.stop - start])
+        sigma = sigma_buf[: len(s)]
+        if var is not None:
+            np.add((var[0, rows] + var[1, rows])[:, None], var[0], out=sigma)
+            np.sqrt(np.add(sigma, var[1], out=sigma), out=sigma)
+        yield s, sigma
 
 
 def s_grid(
@@ -220,18 +217,18 @@ def s_grid(
     Also returns the per-basis defined mask; rows/columns of undefined
     bases are NaN.  Entry orderings and arithmetic match :func:`s_value`.
     """
-    e, defined = basis_correlations(alice_pair, bob_projectors, nu)
-    return s_combination(e[0], e[1]), defined
+    e = cell_correlations(basis_cells(rate_matrix(alice_pair, bob_projectors, nu)))
+    return s_combination(e[0], e[1]), ~np.isnan(e).any(0)
 
 
-def restrict_to_defined(alice_pair, s, sigma, defined: np.ndarray) -> SEnumeration:
-    """The (K, K') entries of (B, B) S and sigma grids whose bases are both
-    defined, as an enumeration; the grids themselves when every basis is."""
-    keep = np.flatnonzero(defined)
-    if keep.size < defined.size:
-        s, sigma = (grid.compress(defined, 0).compress(defined, 1) for grid in (s, sigma))
+def restrict_to_defined(alice_pair, e: np.ndarray, var) -> SEnumeration:
+    """The :class:`SEnumeration` over the bases whose (2, B) per-basis E is
+    defined (not NaN), with their variances (None when noiseless)."""
+    keep = np.flatnonzero(~np.isnan(e).any(0))
+    var = None if var is None else var[:, keep]
     a, ap = alice_pair
-    return SEnumeration(keep + 1, s, sigma, (a.label, ap.label), defined.size**2 - s.size)
+    skipped = e.shape[1] ** 2 - keep.size**2
+    return SEnumeration(keep + 1, e[:, keep], var, (a.label, ap.label), skipped)
 
 
 def enumerate_s(
@@ -239,13 +236,11 @@ def enumerate_s(
     bob_projectors: list[Projector],
     nu: float,
 ) -> SEnumeration:
-    """Evaluate S for every ordered pair of Bob bases, including K = K'.
-
-    Output is K-major and deterministic, with sigma 0.  Pairs whose
-    correlations are undefined (dark-projector bases) are skipped and counted.
-    """
-    s, defined = s_grid(alice_pair, bob_projectors, nu)
-    return restrict_to_defined(alice_pair, s, np.broadcast_to(0.0, s.shape), defined)
+    """Exact per-basis E, so S for every ordered pair of Bob bases, including
+    K = K', with sigma 0.  Bases with an undefined E (dark-projector bases)
+    are dropped, and their pairs counted as skipped."""
+    e = cell_correlations(basis_cells(rate_matrix(alice_pair, bob_projectors, nu)))
+    return restrict_to_defined(alice_pair, e, None)
 
 
 def _with_complements(theta: np.ndarray, phi: np.ndarray):
@@ -281,7 +276,7 @@ def max_violation_search(nu: float, trials: int, seed: int) -> SRecord:
             th_a[:, None, :, None], ph_a[:, None, :, None],
             th_b[None, :, None], ph_b[None, :, None], 1.0, nu,
         ).reshape(2, 2, 4, n)
-        e, _ = cell_correlations(cells)
+        e = cell_correlations(cells)
         s = s_combination(e[0], e[1])[0, 1]
         arg = int(np.argmax(s))
         if float(s[arg]) > best_s:
@@ -292,11 +287,12 @@ def max_violation_search(nu: float, trials: int, seed: int) -> SRecord:
 
 
 def write_srecords_csv(enumeration: SEnumeration, path: str | Path) -> None:
-    """Dump an enumeration as ``k,kprime,aliceA,aliceAprime,s,sigma`` rows."""
+    """Dump an enumeration as ``k,kprime,aliceA,aliceAprime,s,sigma`` rows, tile by tile."""
     labels = list(map(str, enumeration.labels.tolist()))
     alice = ",".join(map(str, enumeration.alice_labels))
-    settings = [f"{k},{kp},{alice}" for k in labels for kp in labels]
-    s_text = map("{:.12g}".format, enumeration.s.ravel().tolist())
-    sigma_text = map("{:.12g}".format, enumeration.sigma.ravel().tolist())
-    rows = map(",".join, zip(settings, s_text, sigma_text))
-    Path(path).write_text("\n".join(["k,kprime,aliceA,aliceAprime,s,sigma", *rows]) + "\n")
+    settings = (f"{k},{kp},{alice}," for k in labels for kp in labels)  # K-major
+    with open(path, "w") as f:
+        f.write("k,kprime,aliceA,aliceAprime,s,sigma\n")
+        for s, sigma in s_tiles(enumeration):
+            rows = zip(islice(settings, s.size), s.ravel().tolist(), sigma.ravel().tolist())
+            f.write("".join([f"{setting}{a:.12g},{b:.12g}\n" for setting, a, b in rows]))

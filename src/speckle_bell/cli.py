@@ -38,6 +38,10 @@ MAX_HIST_BINS = 10**6
 # the bound applies to all of them.
 MAX_TM_BYTES = 2**29
 
+# S records (srecords.csv rows, about 42 bytes each) per Alice draw: B^2 for
+# B = n_positions * (2 n_positions - 1) Bob bases, so n_positions <= 64.
+MAX_RECORDS = 2**26
+
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
@@ -90,6 +94,10 @@ class ExperimentConfig:
         if self.n_positions > self.m_spatial:
             raise ConfigError(
                 f"n_positions ({self.n_positions}) exceeds m_spatial ({self.m_spatial})"
+            )
+        if (self.n_positions * (2 * self.n_positions - 1)) ** 2 > MAX_RECORDS:
+            raise ConfigError(
+                f"n_positions must be at most 64 (2^26 S records per draw), got {self.n_positions}"
             )
         if not 0.0 <= self.visibility <= 1.0:
             raise ConfigError(f"visibility must be in [0, 1], got {self.visibility}")
@@ -224,16 +232,14 @@ def chsh_enumeration(cfg: ExperimentConfig) -> chsh.SEnumeration:
     return stats.noisy_enumerate(alice_pair, projectors, cfg.visibility, cfg.acquisition)
 
 
-def sweep_counts(cfg: ExperimentConfig, alice_pairs, projectors, nu: float):
-    """Histogram count vector, number of S above 2 and number of S, summed
-    over the defined (K, K') of every Alice pair.  S is streamed in row tiles
-    of :func:`chsh.s_tiles`, so no (D, D) grid is held."""
+def tile_counts(cfg: ExperimentConfig, enumerations):
+    """Histogram count vector, number of S above 2 and number of S over the
+    :func:`chsh.s_tiles` of every enumeration; no (D, D) grid is held."""
     bounds = (cfg.hist_lo, cfg.hist_hi)
     counts = stats.histogram((), cfg.hist_bin_width, bounds)
     above = total = 0
-    for alice_pair in alice_pairs:
-        e, defined = chsh.basis_correlations(alice_pair, projectors, nu)
-        for tile in chsh.s_tiles(*e[:, defined]):
+    for enumeration in enumerations:
+        for tile, _ in chsh.s_tiles(enumeration):
             counts += stats.histogram(tile, cfg.hist_bin_width, bounds)
             above += int(np.count_nonzero(tile > 2.0))
             total += tile.size
@@ -246,14 +252,14 @@ def cmd_chsh(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     enumeration = chsh_enumeration(cfg)
     mode = "noiseless" if cfg.noiseless else "noisy"
     print(
-        f"stage: enumeration ({enumeration.s.size} records, "
+        f"stage: enumeration ({enumeration.labels.size**2} records, "
         f"{enumeration.skipped} skipped, {mode}, visibility {cfg.visibility:g})"
     )
     chsh.write_srecords_csv(enumeration, out / "srecords.csv")
+    counts, _, _ = tile_counts(cfg, [enumeration])
     bounds = (cfg.hist_lo, cfg.hist_hi)
-    counts = stats.histogram(enumeration.s, cfg.hist_bin_width, bounds)
     stats.write_histogram_csv(counts, cfg.hist_bin_width, bounds, out / "histogram.csv")
-    report = stats.certify_arrays(enumeration.s, enumeration.sigma, enumeration.skipped)
+    report = stats.certify_arrays(chsh.s_tiles(enumeration), enumeration.skipped)
     stats.write_report_json(report, out / "report.json")
     print(
         f"stage: certification (above 2: {report.above_2}, "
@@ -302,7 +308,8 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     bounds = (cfg.hist_lo, cfg.hist_hi)
     alice_pairs = [draw_alice_pair(cfg, draw) for draw in range(cfg.alice_draws)]
     for nu in nu_list:
-        counts, above, total = sweep_counts(cfg, alice_pairs, projectors, nu)
+        enumerations = (chsh.enumerate_s(pair, projectors, nu) for pair in alice_pairs)
+        counts, above, total = tile_counts(cfg, enumerations)
         path = out / f"sweep_hist_nu_{nu:g}.csv"
         stats.write_histogram_csv(counts / cfg.alice_draws, cfg.hist_bin_width, bounds, path)
         fraction = above / total if total else 0.0

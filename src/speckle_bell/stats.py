@@ -1,5 +1,5 @@
-"""Counting statistics: Poisson coincidence counts, uncertainty propagation,
-violation certification and histogramming.
+"""Counting statistics: Poisson counts, per-basis E and variance for noisy
+enumerations, certification folded over S tiles, and histogramming.
 
 The detected-count error model follows standard shot-noise practice: each
 count n carries sigma = sqrt(n) and the variances of the four correlations in
@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .chsh import (
     basis_cells,
     rate_matrix,
     restrict_to_defined,
-    s_combination,
 )
 from .polarization import Projector
 
@@ -159,30 +158,23 @@ def noisy_enumerate(
     nu: float,
     cfg: AcquisitionConfig,
 ) -> SEnumeration:
-    """Full S enumeration from simulated counts instead of exact rates.
+    """:func:`chsh.enumerate_s` from simulated counts: per-basis E and variance.
 
     One CountRecord is drawn per (Alice basis, Bob basis) pair from the
-    stream (cfg.seed, alice index, basis index) and reused across the whole
-    (K, K') grid, mirroring how per-setting acquisitions are reused when
-    many S values are extracted from one data set.
+    stream (cfg.seed, alice index, basis index) and reused for every (K, K')
+    that holds the basis, mirroring how per-setting acquisitions are reused
+    when many S values are extracted from one data set.
     """
     cells = basis_cells(rate_matrix(alice_pair, bob_projectors, nu))
     e = np.full((2, cells.shape[-1]), np.nan)
     var = np.zeros_like(e)
-    defined = np.ones(e.shape[1], dtype=bool)
     for a_idx, a_cells in enumerate(cells):
         for k, cell in enumerate(a_cells.T.tolist()):
             rec = sample_counts(cell, cfg, record_stream(cfg.seed, a_idx, k))
-            try:
+            if sum(rec.counts):  # all-zero counts leave E undefined (NaN)
                 e[a_idx, k], sigma = e_with_sigma(rec)
-            except UndefinedCorrelationError:
-                defined[k] = False
-                continue
-            var[a_idx, k] = sigma * sigma
-
-    v_a, v_ap = var
-    sig = np.sqrt(((v_a[:, None] + v_ap[:, None]) + v_a[None, :]) + v_ap[None, :])
-    return restrict_to_defined(alice_pair, s_combination(e[0], e[1]), sig, defined)
+                var[a_idx, k] = sigma * sigma
+    return restrict_to_defined(alice_pair, e, var)
 
 
 def certify(records: Sequence[SRecord], skipped: int = 0) -> CertificationReport:
@@ -202,20 +194,25 @@ def certify(records: Sequence[SRecord], skipped: int = 0) -> CertificationReport
     return CertificationReport(len(records), above, above5, max_s, max_sigma, int(skipped))
 
 
-def certify_arrays(s: np.ndarray, sigma: np.ndarray, skipped: int = 0) -> CertificationReport:
-    """:func:`certify` over S and sigma arrays of one shape, in row-major order:
-    ``max_s`` is the first maximal S, and both maxima read 0 unless some S > 0."""
-    s, sigma = np.ravel(s), np.ravel(sigma)
-    top = int(np.argmax(s)) if s.size else 0
+def certify_arrays(
+    tiles: Iterable[tuple[np.ndarray, np.ndarray]], skipped: int = 0
+) -> CertificationReport:
+    """:func:`certify` over aligned (S, sigma) tiles taken in order, each in
+    row-major order, such as :func:`chsh.s_tiles`: ``max_s`` is the first
+    maximal S, and both maxima read 0 unless some S > 0."""
+    total = above = above5 = 0
     max_s, max_sigma = 0.0, 0.0
-    if s.size and s[top] > 0.0:
-        max_s, max_sigma = float(s[top]), float(sigma[top])
-    above = s > 2.0
-    resolved = above & (sigma > 0.0)
-    above5 = np.count_nonzero((s[resolved] - 2.0) / sigma[resolved] > 5.0)
-    return CertificationReport(
-        s.size, int(np.count_nonzero(above)), int(above5), max_s, max_sigma, int(skipped)
-    )
+    for s, sigma in tiles:
+        if s.size:
+            top = np.unravel_index(np.argmax(s), s.shape)
+            if s[top] > max_s:
+                max_s, max_sigma = float(s[top]), float(sigma[top])
+        high = s > 2.0
+        resolved = high & (sigma > 0.0)
+        above5 += np.count_nonzero((s[resolved] - 2.0) / sigma[resolved] > 5.0)
+        above += np.count_nonzero(high)
+        total += s.size
+    return CertificationReport(total, int(above), int(above5), max_s, max_sigma, int(skipped))
 
 
 def histogram(

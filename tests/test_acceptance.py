@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from speckle_bell import cli, stats
+from speckle_bell import chsh, cli, stats
 from speckle_bell.chsh import (
     TSIRELSON,
     alice_basis,
@@ -168,7 +168,7 @@ def test_criterion_6_fig4_replica():
         t0 = time.time()
         cfg = cli.build_config(args_for(seed))
         enum = cli.chsh_enumeration(cfg)
-        rep = stats.certify_arrays(enum.s, enum.sigma, enum.skipped)
+        rep = stats.certify_arrays(chsh.s_tiles(enum), enum.skipped)
         if t_first is None:
             t_first = time.time() - t0
         assert rep.total == 189_225
@@ -179,12 +179,12 @@ def test_criterion_6_fig4_replica():
 
         cfg0 = cli.build_config(args_for(seed, nu=0.0))
         enum0 = cli.chsh_enumeration(cfg0)
-        rep0 = stats.certify_arrays(enum0.s, enum0.sigma)
+        rep0 = stats.certify_arrays(chsh.s_tiles(enum0))
         per_seed_ok &= rep0.above_2_by_5sigma <= 5
 
     cfg_exact = cli.build_config(args_for(0, noiseless=True))
     enum_exact = cli.chsh_enumeration(cfg_exact)
-    max_exact = float(enum_exact.s.max())
+    max_exact = float(chsh.s_combination(*enum_exact.e).max())
     ok = (
         nonzero >= 19
         and fractions_ok

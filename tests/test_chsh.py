@@ -9,11 +9,11 @@ from speckle_bell.chsh import (
     MeasurementBasis,
     UndefinedCorrelationError,
     alice_basis,
-    basis_correlations,
     build_bob_bases,
     correlation,
     enumerate_s,
     max_violation_search,
+    s_combination,
     s_grid,
     s_tiles,
     s_value,
@@ -21,6 +21,7 @@ from speckle_bell.chsh import (
 )
 from speckle_bell.medium import bob_projector_set, random_tm
 from speckle_bell.polarization import PoincareState, Projector
+from speckle_bell.stats import AcquisitionConfig, noisy_enumerate
 
 H = PoincareState(0.0, 0.0)
 D = PoincareState(math.pi / 2, 0.0)
@@ -159,7 +160,7 @@ def test_enumerate_counts_n30():
     projectors = bob_projector_set(tm, list(range(15)))
     rng = np.random.default_rng(33)
     enum = enumerate_s(random_alice_pair(rng), projectors, 0.93)
-    assert enum.s.size == 189_225
+    assert enum.labels.size**2 == 189_225
     assert enum.skipped == 0
 
 
@@ -167,11 +168,11 @@ def test_enumerate_counts_small():
     rng = np.random.default_rng(34)
     alice = random_alice_pair(rng)
     enum2 = enumerate_s(alice, random_projectors(rng, 2), 1.0)
-    assert enum2.s.size == 1
+    assert enum2.labels.size**2 == 1
     assert enum2.labels.tolist() == [1]  # the single pair (1, 1)
-    assert enum2.s[0, 0] <= 2 + 1e-12
+    assert s_combination(*enum2.e)[0, 0] <= 2 + 1e-12
     enum3 = enumerate_s(alice, random_projectors(rng, 3), 1.0)
-    assert enum3.s.size == 9
+    assert enum3.labels.size**2 == 9
 
 
 def test_enumerate_requires_two_projectors():
@@ -187,12 +188,13 @@ def test_enumerate_matches_scalar_s_value():
     bases = build_bob_bases(projectors)
     enum = enumerate_s(alice, projectors, 0.7)
     n = len(bases)
-    assert enum.s.size == n * n
+    s = s_combination(*enum.e)
+    assert s.size == n * n
     # bit-identical to the scalar path, K-major ordering
     for row in range(0, n * n, max(1, n * n // 50)):
         k, kp = enum.labels[row // n], enum.labels[row % n]
         ref = s_value(alice[0], alice[1], bases[k - 1], bases[kp - 1], 0.7)
-        assert enum.s.flat[row] == ref.s
+        assert s.flat[row] == ref.s
         assert (k, kp) == ref.bob_bases
 
 
@@ -203,8 +205,8 @@ def test_enumerate_deterministic():
     first = enumerate_s(alice, projectors, 0.93)
     second = enumerate_s(alice, projectors, 0.93)
     assert np.array_equal(first.labels, second.labels)
-    assert np.array_equal(first.s, second.s)
-    assert np.array_equal(first.sigma, second.sigma)
+    assert np.array_equal(first.e, second.e)
+    assert first.var is None and second.var is None  # noiseless: sigma 0
     assert first.alice_labels == second.alice_labels == ("A", "A'")
 
 
@@ -212,13 +214,13 @@ def test_enumerate_tsirelson_bound():
     rng = np.random.default_rng(38)
     for nu in (0.0, 0.5, 1.0):
         enum = enumerate_s(random_alice_pair(rng), random_projectors(rng, 10), nu)
-        assert enum.s.max() <= TSIRELSON + 1e-9
+        assert s_combination(*enum.e).max() <= TSIRELSON + 1e-9
 
 
 def test_enumerate_separable_classical_bound():
     rng = np.random.default_rng(39)
     enum = enumerate_s(random_alice_pair(rng), random_projectors(rng, 12), 0.0)
-    assert enum.s.max() <= 2 + 1e-9
+    assert s_combination(*enum.e).max() <= 2 + 1e-9
 
 
 def test_enumerate_skips_dark_pairs():
@@ -231,7 +233,7 @@ def test_enumerate_skips_dark_pairs():
     enum = enumerate_s(random_alice_pair(rng), projectors, 1.0)
     # 6 bases; the (dark, dark) one is undefined: 36 - 25 = 11 skipped
     assert enum.skipped == 11
-    assert enum.s.size == 25
+    assert enum.labels.size**2 == 25
     dark_label = 6  # pair (2,3) is last in lexicographic order
     assert dark_label not in enum.labels.tolist()
 
@@ -253,10 +255,12 @@ def test_s_tiles_match_s_grid(monkeypatch, tile_rows, heights):
     alice = random_alice_pair(rng)
     projectors = random_projectors(rng, 6)
     grid, _ = s_grid(alice, projectors, 0.9)
-    e, _ = basis_correlations(alice, projectors, 0.9)
-    tiles = [tile.copy() for tile in s_tiles(e[0], e[1])]
-    assert [len(tile) for tile in tiles] == heights
-    assert np.concatenate(tiles).tobytes() == grid.tobytes()  # bit for bit
+    tiles = [(s.copy(), sigma) for s, sigma in s_tiles(enumerate_s(alice, projectors, 0.9))]
+    assert [len(s) for s, _ in tiles] == heights
+    assert np.concatenate([s for s, _ in tiles]).tobytes() == grid.tobytes()  # bit for bit
+    for s, sigma in tiles:  # noiseless: a read-only zero view, no arithmetic
+        assert sigma.shape == s.shape and not sigma.flags.writeable
+        assert sigma.strides == (0, 0) and not sigma.any()
 
 
 # -------------------------------------------------------------------- search
@@ -322,3 +326,42 @@ def test_srecords_csv(tmp_path):
     k, kp, la, lap, s, sigma = lines[1].split(",")
     assert (k, kp, la, lap) == ("1", "1", "A", "A'")
     assert float(sigma) == 0.0
+
+
+def _untiled_srecords(enum):
+    """srecords.csv text from whole (D, D) S and sigma grids, as one join."""
+    s = s_combination(*enum.e)
+    if enum.var is None:
+        sigma = np.zeros_like(s)
+    else:
+        v_a, v_ap = enum.var
+        sigma = np.sqrt(((v_a[:, None] + v_ap[:, None]) + v_a[None, :]) + v_ap[None, :])
+    labels = enum.labels.tolist()
+    rows = [
+        f"{k},{kp},A,A',{a:.12g},{b:.12g}"
+        for (k, kp), a, b in zip(
+            ((k, kp) for k in labels for kp in labels), s.ravel().tolist(), sigma.ravel().tolist()
+        )
+    ]
+    return "\n".join(["k,kprime,aliceA,aliceAprime,s,sigma", *rows]) + "\n"
+
+
+def test_srecords_csv_independent_of_tile_height(tmp_path, monkeypatch):
+    """The file is the same at tile heights 1, 7 (D = 27 is not a multiple) and
+    whole, noisy or not, and equals the untiled text.  The (dark, dark) basis
+    is label 1, so a K label shifted at a tile edge shows in every row after it."""
+    rng = np.random.default_rng(43)
+    alice = random_alice_pair(rng)
+    projectors = [Projector(0j, PoincareState(0.0, 0.0)),
+                  Projector(0j, PoincareState(1.0, 2.0))] + random_projectors(rng, 6)
+    enums = [enumerate_s(alice, projectors, 0.93),
+             noisy_enumerate(alice, projectors, 0.93, AcquisitionConfig(integration_time=0.5))]
+    for enum in enums:
+        assert enum.labels[0] == 2 and enum.labels.size == 27
+        want = _untiled_srecords(enum)
+        for tile_rows in (1, 7, 10**6):
+            monkeypatch.setattr(chsh, "_S_TILE_ROWS", tile_rows)
+            path = tmp_path / f"s_{tile_rows}.csv"
+            write_srecords_csv(enum, path)
+            assert path.read_text() == want, tile_rows
+    assert enums[1].var.min() == 0.0 < enums[1].var.max()  # sigma-0 and resolved rows

@@ -18,7 +18,7 @@ from speckle_bell.cli import (
     main,
     make_parser,
     parse_config_file,
-    sweep_counts,
+    tile_counts,
 )
 from speckle_bell.polarization import PoincareState, Projector
 from speckle_bell.stats import histogram
@@ -146,8 +146,8 @@ def test_counts_seed_follows_master_seed(tmp_path):
     cfg = build_config(make_parser().parse_args(["chsh", "--config", str(path), "--seed", "5"]))
     from_cli = chsh_enumeration(cfg)
     assert np.array_equal(direct.labels, from_cli.labels)
-    assert np.array_equal(direct.s, from_cli.s, equal_nan=True)
-    assert np.array_equal(direct.sigma, from_cli.sigma, equal_nan=True)
+    assert np.array_equal(direct.e, from_cli.e)
+    assert np.array_equal(direct.var, from_cli.var)
     assert replace(cfg, seed=6).acquisition.seed == derive_seed(6, 3)
 
 
@@ -301,13 +301,14 @@ def test_sweep_counts_match_untiled_enumeration(monkeypatch, tile_rows):
     bounds = (cfg.hist_lo, cfg.hist_hi)
     for nu in (0.0, 0.93, 1.0):
         want_counts, want_above, want_total = 0, 0, 0
-        for alice_pair in alice_pairs:
-            enum = chsh.enumerate_s(alice_pair, projectors, nu)
+        enums = [chsh.enumerate_s(alice_pair, projectors, nu) for alice_pair in alice_pairs]
+        for enum in enums:
             assert enum.skipped == 45**2 - 44**2
-            want_counts = want_counts + histogram(enum.s, cfg.hist_bin_width, bounds)
-            want_above += int(np.count_nonzero(enum.s > 2.0))
-            want_total += enum.s.size
-        counts, above, total = sweep_counts(cfg, alice_pairs, projectors, nu)
+            s = chsh.s_combination(*enum.e)  # the whole (D, D) grid
+            want_counts = want_counts + histogram(s, cfg.hist_bin_width, bounds)
+            want_above += int(np.count_nonzero(s > 2.0))
+            want_total += s.size
+        counts, above, total = tile_counts(cfg, enums)
         assert counts.dtype == want_counts.dtype
         assert counts.tolist() == want_counts.tolist()
         assert (above, total) == (want_above, want_total)
@@ -352,6 +353,44 @@ def test_unrunnable_config_writes_nothing(tmp_path, capsys, command, config, fie
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.strip().count("\n") == 0 and field in err
     assert not list(out.glob("run_*"))
+
+
+def test_record_count_is_bounded_up_front(tmp_path, capsys):
+    """n_positions <= 64 keeps B^2 S records per draw within cli.MAX_RECORDS;
+    the check is arithmetic on the config, so nothing is allocated."""
+    ExperimentConfig(m_spatial=64, n_positions=64).validate()
+    for n in (65, 600):
+        with pytest.raises(ConfigError, match="n_positions"):
+            ExperimentConfig(m_spatial=600, n_positions=n).validate()
+    path = tmp_path / "wide.cfg"
+    path.write_text("m_spatial = 600\nn_positions = 600\n")
+    out = tmp_path / "c"
+    assert main(["chsh", "--noiseless", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_positions" in err
+    assert not list(out.glob("run_*"))
+
+
+def test_chsh_and_sweep_never_build_a_grid(tmp_path, monkeypatch):
+    """Every S that chsh and sweep compute comes from s_combination calls of
+    at most _S_TILE_ROWS rows, at 276 Bob bases (more than 4 tiles)."""
+    rows = []
+    combine = chsh.s_combination
+
+    def recorded(*args, **kwargs):
+        s = combine(*args, **kwargs)
+        rows.append(len(s))
+        return s
+
+    monkeypatch.setattr(chsh, "s_combination", recorded)
+    config = tmp_path / "tiles.cfg"
+    config.write_text("m_spatial = 40\nn_positions = 12\n")
+    common = ["--config", str(config), "--seed", "1", "--out", str(tmp_path / "out")]
+    for argv in (["chsh"], ["chsh", "--noiseless"], ["sweep", "--alice-draws", "2"]):
+        rows.clear()
+        assert main([*argv, *common]) == 0
+        assert rows and max(rows) <= chsh._S_TILE_ROWS, argv
+        assert sum(rows) % 276 == 0
 
 
 def test_tm_rejects_oversized_channel(tmp_path, capsys):

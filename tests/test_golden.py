@@ -29,8 +29,8 @@ visibility = 0
 integration_time = 0.3
 """
 
-# 24 projectors give 276 Bob bases: the sweep's S rows cross tile edges
-# (64 rows each, the last tile partial).
+# 24 projectors give 276 Bob bases: the S rows of chsh and sweep cross tile
+# edges (64 rows each, the last tile partial).
 TILES = """
 m_spatial = 40
 n_positions = 12
@@ -41,6 +41,8 @@ CASES = {
     "chsh-noisy": (SMALL, ["chsh"]),
     "chsh-noiseless": (SMALL, ["chsh", "--noiseless"]),
     "chsh-separable-low-count": (SEPARABLE_LOW_COUNT, ["chsh"]),
+    "chsh-tiles": (TILES, ["chsh"]),
+    "chsh-tiles-noiseless": (TILES, ["chsh", "--noiseless"]),
     "sweep": (SMALL, ["sweep", "--nus", "0,0.93,1", "--alice-draws", "3"]),
     "sweep-tiles": (TILES, ["sweep", "--nus", "0,0.93,1", "--alice-draws", "2"]),
     "hom": (SMALL, ["hom", "--position", "2", "--bob-detector", "2",
@@ -61,6 +63,12 @@ GOLDEN = {
     "chsh-separable-low-count/histogram.csv": "2fec7e56bbe6a1d2e9e55be7e8814232765eb6bc3920d4527de1d0a11b69a9af",
     "chsh-separable-low-count/report.json": "9083125e01843e6afd4eb88c4bfbc3946f0742b574bdac6cced698116583625d",
     "chsh-separable-low-count/srecords.csv": "dcd73fa5248fce0880bc421698bcd3132bfaab0887fbf820579d3c728af513f3",
+    "chsh-tiles/histogram.csv": "5aa64b1a55e6dc6ddf4c2aa7b5e26c681dc9767c7c895ceb36b39f032da4ac02",
+    "chsh-tiles/report.json": "c30e0b28526553e95ea094d13b3e6587b892c164014d206e77c548edb4500e11",
+    "chsh-tiles/srecords.csv": "6ea3f07880253c3be2a4332a3f58f19ce5fd5edde9097668587e11b167428e71",
+    "chsh-tiles-noiseless/histogram.csv": "a5119118b17ca241b75953e9e499f8893c5d1a06a30e24cd5dbc57d4469d2b36",
+    "chsh-tiles-noiseless/report.json": "a485985e97dd548527bf6fded9d2997d3ae03d7cfea5ccb54497b4a756a517ee",
+    "chsh-tiles-noiseless/srecords.csv": "29b987b5bfec39c304999451bc06ed4238cb44af519759b5f6c2e945aa3590e4",
     "hom/hom_5.csv": "de124ce1cd598c1c99b552589dcfd1a9471a04d1f8c7f5d123e1024797329c14",
     "speckle/speckle.csv": "5a50f3e57ffa1d5abf3f4b5aeef84c0b7d857f9cd2ff041fd1335b358e755b19",
     "sweep/sweep_hist_nu_0.93.csv": "b22b38cd622026a0d5a52f9a39521e577ac4f69212a17b1c43efe631007db107",

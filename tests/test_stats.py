@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from speckle_bell import chsh
 from speckle_bell.chsh import (
     SRecord,
     UndefinedCorrelationError,
     alice_basis,
     enumerate_s,
     rate_matrix,
+    s_tiles,
 )
 from speckle_bell.polarization import PoincareState, Projector
 from speckle_bell.stats import (
@@ -35,6 +37,12 @@ def random_alice_pair(rng):
     a = alice_basis(PoincareState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)), "A")
     ap = alice_basis(PoincareState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)), "A'")
     return a, ap
+
+
+def grids(enum):
+    """Whole (D, D) S and sigma grids, stacked from the enumeration's tiles."""
+    tiles = [(s.copy(), np.array(sigma)) for s, sigma in s_tiles(enum)]
+    return np.concatenate([s for s, _ in tiles]), np.concatenate([g for _, g in tiles])
 
 
 def random_projectors(rng, n):
@@ -171,8 +179,10 @@ def test_noisy_enumerate_deterministic_and_converging():
     a = noisy_enumerate(alice, projectors, nu, cfg)
     b = noisy_enumerate(alice, projectors, nu, cfg)
     assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(a.s, b.s) and np.array_equal(a.sigma, b.sigma)
-    assert a.s.size == 225
+    assert np.array_equal(a.e, b.e) and np.array_equal(a.var, b.var)
+    a_s, a_sigma = grids(a)
+    assert a_s.size == 225
+    assert np.array_equal(grids(b)[0], a_s) and np.array_equal(grids(b)[1], a_sigma)
 
     # long-integration limit approaches the exact values within 3 sigma
     exact = enumerate_s(alice, projectors, nu)
@@ -183,8 +193,9 @@ def test_noisy_enumerate_deterministic_and_converging():
         AcquisitionConfig(pair_rate=500.0, integration_time=1e6, efficiency=0.5, seed=22),
     )
     assert np.array_equal(heavy.labels, exact.labels)
-    assert np.all(heavy.sigma > 0)
-    worst = np.max(np.abs(heavy.s - exact.s) / heavy.sigma)
+    heavy_s, heavy_sigma = grids(heavy)
+    assert np.all(heavy_sigma > 0)
+    worst = np.max(np.abs(heavy_s - grids(exact)[0]) / heavy_sigma)
     assert worst < 3.0
     light = noisy_enumerate(
         alice,
@@ -192,7 +203,7 @@ def test_noisy_enumerate_deterministic_and_converging():
         nu,
         AcquisitionConfig(pair_rate=500.0, integration_time=240.0, efficiency=0.5, seed=22),
     )
-    assert heavy.sigma.max() < light.sigma.max()
+    assert heavy_sigma.max() < grids(light)[1].max()
 
 
 def test_noisy_enumerate_matches_scalar_pipeline():
@@ -217,20 +228,22 @@ def test_noisy_enumerate_matches_scalar_pipeline():
         )
 
     n = enum.labels.size
+    s, sigma = grids(enum)
     for row in range(0, n * n, 7):
         k, kp = enum.labels[row // n] - 1, enum.labels[row % n] - 1
         ref = s_with_sigma(
             [count_record(0, k), count_record(1, k), count_record(0, kp), count_record(1, kp)]
         )
-        assert enum.s.flat[row] == ref.s
-        assert enum.sigma.flat[row] == ref.sigma
+        assert s.flat[row] == ref.s
+        assert sigma.flat[row] == ref.sigma
 
 
 def test_noisy_records_within_sanity_bound():
     rng = np.random.default_rng(49)
     enum = noisy_enumerate(random_alice_pair(rng), random_projectors(rng, 8), 0.93, CFG)
-    assert np.all(0.0 <= enum.s)
-    assert np.all(enum.s <= 2 * math.sqrt(2) + 5 * enum.sigma)
+    s, sigma = grids(enum)
+    assert np.all(0.0 <= s)
+    assert np.all(s <= 2 * math.sqrt(2) + 5 * sigma)
 
 
 def test_noisy_enumerate_skips_dark_bases():
@@ -242,7 +255,7 @@ def test_noisy_enumerate_skips_dark_bases():
     ]
     enum = noisy_enumerate(alice, projectors, 0.93, CFG)
     assert enum.skipped == 11
-    assert enum.s.size == 25
+    assert enum.labels.size**2 == 25
 
 
 # ------------------------------------------------------------- certification
@@ -302,21 +315,49 @@ CERTIFY_CASES = {
     "ties-at-max": (np.array([[1.0, 2.5], [2.5, 2.5]]), np.array([[0.1, 0.2], [0.3, 0.4]])),
     "sigma-0-above-2": (np.array([[2.7, 4.0], [1.0, 4.0]]), np.zeros((2, 2))),
     "float-above-2": (np.array([[2.0000000000000004, 2.0]]), np.array([[0.0, 0.0]])),
+    # the maximum in the last row of a 7-row tile and the first of the next
+    "tie-across-edge": (np.array([[1.0, 2.0]] * 6 + [[1.5, 2.6], [2.6, 0.0], [2.6, 2.6]]),
+                        np.array([[0.1, 0.1]] * 6 + [[0.1, 0.07], [0.3, 0.1], [0.4, 0.5]])),
     **{f"random-{seed}": _random_grid(seed) for seed in range(5)},
 }
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFY_CASES))
 def test_certify_arrays_matches_certify(name):
+    """Row tiles of height 1, 7 or the whole grid fold to certify's report."""
     s, sigma = CERTIFY_CASES[name]
     rows = [
         SRecord(a, b, ("A", "A'"), (0, 0))
         for a, b in zip(s.ravel().tolist(), sigma.ravel().tolist())
     ]
-    got = certify_arrays(s, sigma, skipped=3)
-    assert got == certify(rows, skipped=3)
-    assert all(type(v) is int for v in (got.total, got.above_2, got.above_2_by_5sigma, got.skipped))
-    assert type(got.max_s) is float and type(got.max_s_sigma) is float
+    for height in (1, 7, len(s) or 1):
+        tiles = ((s[i:i + height], sigma[i:i + height]) for i in range(0, len(s), height))
+        got = certify_arrays(tiles, skipped=3)
+        assert got == certify(rows, skipped=3), height
+        assert all(type(v) is int for v in (got.total, got.above_2, got.above_2_by_5sigma, got.skipped))
+        assert type(got.max_s) is float and type(got.max_s_sigma) is float
+    assert certify_arrays([(s, sigma)], skipped=3) == got  # one tile, empty or not
+    if name == "tie-across-edge":  # the first maximum and its sigma win
+        assert (got.max_s, got.max_s_sigma) == (2.6, 0.07)
+
+
+def test_certify_arrays_reads_s_tiles(monkeypatch):
+    """certify_arrays over s_tiles equals certify over the whole grids, at tile
+    heights that split D = 28 unevenly, noisy or not."""
+    rng = np.random.default_rng(53)
+    alice, projectors = random_alice_pair(rng), random_projectors(rng, 8)
+    cfg = AcquisitionConfig(seed=4)
+    for enum in (enumerate_s(alice, projectors, 1.0), noisy_enumerate(alice, projectors, 1.0, cfg)):
+        s, sigma = grids(enum)
+        want = certify(
+            [SRecord(a, b, ("A", "A'"), (0, 0))
+             for a, b in zip(s.ravel().tolist(), sigma.ravel().tolist())],
+            skipped=enum.skipped,
+        )
+        for tile_rows in (1, 7, 10**6):
+            monkeypatch.setattr(chsh, "_S_TILE_ROWS", tile_rows)
+            assert certify_arrays(s_tiles(enum), enum.skipped) == want
+    assert want.above_2 > want.above_2_by_5sigma > 0
 
 
 def test_report_validation_and_json(tmp_path):
