@@ -160,8 +160,8 @@ def parse_config_file(path: str | Path) -> dict:
     """Parse a flat key=value config file with '#' comments."""
     values = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -203,7 +203,7 @@ def build_channel(cfg: ExperimentConfig):
     positions = sorted(
         int(p) for p in rng.choice(cfg.m_spatial, cfg.n_positions, replace=False)
     )
-    projectors = medium.bob_projector_set(tm, positions)
+    projectors = medium.bob_projector_set(tm.columns(), positions)
     return tm, positions, projectors
 
 
@@ -273,20 +273,27 @@ def cmd_hom(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         raise ConfigError(
             f"position must be in [0, {cfg.n_positions}), got {args.position}"
         )
+    for flag, value in (("--alice-hwp-deg", args.alice_hwp_deg),
+                        ("--alice-qwp-deg", args.alice_qwp_deg)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+    if args.points < 2:
+        raise ConfigError(f"--points must be >= 2, got {args.points}")
     _, _, projectors = build_channel(cfg)
     setting = WaveplateSetting(
         math.radians(args.alice_hwp_deg), math.radians(args.alice_qwp_deg)
     )
     alice = waveplate_projection(setting, args.alice_detector)
     k = 2 * args.position + (args.bob_detector - 1)
-    model = pairsource.DelayModel(cfg.coherence_length)
-    curve = pairsource.hom_curve(
-        alice, projectors[k], model, cfg.visibility, npoints=args.points
+    # Before run_dir: an undefined contrast writes nothing.
+    contrast = pairsource.contrast(alice, projectors[k], cfg.visibility)
+    delays, rates = pairsource.hom_curve(
+        alice, projectors[k], cfg.coherence_length, cfg.visibility, args.points
     )
     path = run_dir(args.out, cfg.seed) / f"hom_{k}.csv"
-    pairsource.write_hom_csv(curve, path)
+    pairsource.write_hom_csv(delays, rates, path)
     print(f"stage: hom curve written to {path}")
-    print(f"contrast: {curve.contrast:.6f}")
+    print(f"contrast: {contrast:.6f}")
     return 0
 
 
@@ -329,9 +336,9 @@ def cmd_speckle(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         "L": (math.pi / 2, 3 * math.pi / 2),
     }[args.input_pol]
     vector = amplitude_vector(PoincareState(theta, phi))
-    pattern = medium.speckle_intensity(channel(cfg), vector)
+    intensity = medium.speckle_intensity(channel(cfg).columns(), vector)
     path = out / "speckle.csv"
-    medium.write_speckle_csv(pattern, path)
+    medium.write_speckle_csv(intensity, path)
     print(f"stage: speckle pattern written to {path}")
     return 0
 

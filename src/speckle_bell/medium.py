@@ -2,9 +2,10 @@
 
 The channel is a Haar-random unitary over the joint (spatial x polarization)
 mode space, the lossless idealization of a strongly mixing multimode fiber.
-Light enters through input mode 0 alone.  Each output spatial mode, observed
-behind an H or V analyzer, realizes an effective polarization projector on it;
-the projector parameters follow directly from the channel coefficients.
+Light enters through input mode 0 alone, so every consumer reads only that
+mode's (2M, 2) block, columns 0 and 1 (input H, V).  Each output spatial mode,
+observed behind an H or V analyzer, realizes an effective polarization
+projector on it, whose parameters follow directly from the block's row.
 """
 
 from __future__ import annotations
@@ -48,28 +49,10 @@ class TransmissionMatrix:
             object.__setattr__(self, "entries", self.entries.astype(complex))
         self.entries.setflags(write=False)
 
-    def columns(self) -> np.ndarray:
-        """The (2M, 2) block of the lit input mode: columns 0 and 1, H then V."""
-        return self.entries[:, :2]
-
     def unitarity_residual(self) -> float:
         """Max absolute entry of T^dagger T - I."""
         n = 2 * self.m_spatial
         return float(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(n))))
-
-
-@dataclass(frozen=True)
-class SpecklePattern:
-    """Per-output-mode intensities behind H and V analyzers."""
-
-    intensity_h: np.ndarray
-    intensity_v: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.intensity_h.shape != self.intensity_v.shape:
-            raise ValueError("intensity arrays must have matching shapes")
-        self.intensity_h.setflags(write=False)
-        self.intensity_v.setflags(write=False)
 
 
 # Gaussian samples are drawn in row chunks of at most 2^17 floats.
@@ -113,16 +96,6 @@ def random_tm(m_spatial: int, seed: int) -> TransmissionMatrix:
     return TransmissionMatrix(m_spatial, entries, int(seed))
 
 
-def haar_columns(m_spatial: int, seed: int) -> np.ndarray:
-    """Columns 0 and 1 of ``random_tm(m_spatial, seed)``, the lit input mode,
-    as a read-only (2M, 2) block from the QR of only the leading two Gaussian
-    columns: O(M) memory instead of O(M^2).
-    """
-    block = _haar_leading(m_spatial, seed, 2)
-    block.setflags(write=False)
-    return block
-
-
 @dataclass(frozen=True)
 class HaarChannel:
     """The seeded channel of :func:`random_tm`, sampled only where it is read:
@@ -133,8 +106,12 @@ class HaarChannel:
     seed: int
 
     def columns(self) -> np.ndarray:
-        """The (2M, 2) block of the lit input mode, as :func:`haar_columns`."""
-        return haar_columns(self.m_spatial, self.seed)
+        """The lit input mode's read-only (2M, 2) block, columns 0 and 1 of
+        ``entries``, from the QR of only the leading two Gaussian columns:
+        O(M) memory instead of O(M^2)."""
+        block = _haar_leading(self.m_spatial, self.seed, 2)
+        block.setflags(write=False)
+        return block
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -165,34 +142,28 @@ def _projector(coefficients: np.ndarray) -> Projector:
     return Projector(cmath.rect(magnitude, cmath.phase(t_h)), PoincareState(theta, phi))
 
 
-def bob_projector_set(
-    tm: TransmissionMatrix | HaarChannel, positions: list[int]
-) -> list[Projector]:
-    """Projectors for every (position, detector) pair, position-major, H first.
-
-    ``tm`` is a :class:`TransmissionMatrix` or :class:`HaarChannel`; only its
-    input-mode block ``tm.columns()`` is read.
-    """
+def bob_projector_set(block: np.ndarray, positions: list[int]) -> list[Projector]:
+    """Projectors for every (position, detector) pair of the (2M, 2) input-mode
+    ``block``, position-major, H first."""
+    m_spatial = len(block) // 2
     if not positions:
         raise ValueError("positions must be non-empty")
     if len(set(positions)) != len(positions):
         raise ValueError(f"duplicate positions in {positions}")
-    if not all(0 <= k < tm.m_spatial for k in positions):
-        raise ValueError(f"positions {positions} out of range [0, {tm.m_spatial})")
-    block = tm.columns()
+    if not all(0 <= k < m_spatial for k in positions):
+        raise ValueError(f"positions {positions} out of range [0, {m_spatial})")
     return [_projector(block[2 * k + pol]) for k in positions for pol in (POL_H, POL_V)]
 
 
-def speckle_intensity(
-    tm: TransmissionMatrix | HaarChannel, input_vector: AmplitudeVector
-) -> SpecklePattern:
-    """Output intensity pattern for a unit-norm input state in the lit mode."""
+def speckle_intensity(block: np.ndarray, input_vector: AmplitudeVector) -> np.ndarray:
+    """Read-only (M, 2) output intensities, behind the H then the V analyzer,
+    of a unit-norm input state in the lit mode, whose block is ``block``."""
     if abs(input_vector.norm_sq() - 1.0) > 1e-9:
         raise ValueError("input amplitude vector must be unit-norm")
-    block = tm.columns()
     out = block[:, 0] * input_vector.h + block[:, 1] * input_vector.v
-    intensity = np.abs(out) ** 2
-    return SpecklePattern(intensity[POL_H::2].copy(), intensity[POL_V::2].copy())
+    intensity = (np.abs(out) ** 2).reshape(-1, 2)
+    intensity.setflags(write=False)
+    return intensity
 
 
 def save_tm(tm: TransmissionMatrix | HaarChannel, path: str | Path) -> None:
@@ -261,9 +232,9 @@ def load_tm(path: str | Path) -> TransmissionMatrix:
     return TransmissionMatrix(m_spatial, entries, seed)
 
 
-def write_speckle_csv(pattern: SpecklePattern, path: str | Path) -> None:
-    """Dump a speckle pattern as ``k,intensity_h,intensity_v`` rows."""
+def write_speckle_csv(intensity: np.ndarray, path: str | Path) -> None:
+    """Dump :func:`speckle_intensity` output as ``k,intensity_h,intensity_v`` rows."""
     lines = ["k,intensity_h,intensity_v"]
-    for k, (ih, iv) in enumerate(zip(pattern.intensity_h, pattern.intensity_v)):
+    for k, (ih, iv) in enumerate(intensity.tolist()):
         lines.append(f"{k},{ih:.12g},{iv:.12g}")
     Path(path).write_text("\n".join(lines) + "\n")

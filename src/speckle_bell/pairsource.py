@@ -16,6 +16,9 @@ matter of record).  In this convention matching polarizations are
 correlated; the first-principles Born-rule engine below uses the singlet
 directly and therefore agrees after relabeling the channel projector
 theta_k -> pi - theta_k.  Tests pin that equivalence.
+
+A source path delay delta lowers the visibility to nu0 exp(-(delta/l_c)^2)
+for a coherence length l_c; :func:`hom_curve` scans it over +-HOM_SPAN l_c.
 """
 
 from __future__ import annotations
@@ -70,37 +73,6 @@ class PairStateModel:
         return nu * rho_ent + (1.0 - nu) * rho_sep
 
 
-@dataclass(frozen=True)
-class DelayModel:
-    """Gaussian decay of two-photon interference with source path delay."""
-
-    coherence_length: float
-
-    def __post_init__(self) -> None:
-        if not self.coherence_length > 0.0:
-            raise ValueError(f"coherence_length must be positive, got {self.coherence_length}")
-
-    def visibility_at(self, delta: float, nu0: float) -> float:
-        """Effective visibility nu0 * exp(-(delta/l_c)^2) at delay delta."""
-        x = delta / self.coherence_length
-        return nu0 * math.exp(-x * x)
-
-
-@dataclass(frozen=True)
-class HomCurve:
-    """Sampled coincidence rate versus delay, with its contrast."""
-
-    delays: np.ndarray
-    rates: np.ndarray
-    contrast: float
-
-    def __post_init__(self) -> None:
-        if self.delays.shape != self.rates.shape:
-            raise ValueError("delays and rates must have matching shapes")
-        self.delays.setflags(write=False)
-        self.rates.setflags(write=False)
-
-
 def joint_rates(theta_a, phi_a, theta_b, phi_b, weight_b, nu: float):
     """Coincidence probabilities of analyzer states ``(theta_a, phi_a)`` and
     channel projectors ``(weight_b, theta_b, phi_b)``, broadcast elementwise.
@@ -143,22 +115,6 @@ def oracle_joint_probability(alice: PoincareState, bob: Projector, nu: float) ->
     return float(np.real(np.trace(rho @ proj)))
 
 
-def hom_rate(
-    alice: PoincareState,
-    bob: Projector,
-    delta: float,
-    model: DelayModel,
-    nu0: float,
-) -> float:
-    """Coincidence rate at source delay ``delta``.
-
-    At zero delay the pair interferes with visibility ``nu0``; for delays
-    far beyond the coherence length the state is separable.
-    """
-    nu0 = _check_visibility(nu0, "nu0")
-    return joint_probability(alice, bob, model.visibility_at(delta, nu0))
-
-
 def contrast(alice: PoincareState, bob: Projector, nu0: float) -> float:
     """Closed-form contrast (R_0 - R_inf)/R_inf of the delay curve."""
     nu0 = _check_visibility(nu0, "nu0")
@@ -176,22 +132,29 @@ def contrast(alice: PoincareState, bob: Projector, nu0: float) -> float:
 def hom_curve(
     alice: PoincareState,
     bob: Projector,
-    model: DelayModel,
+    coherence_length: float,
     nu0: float,
     npoints: int = 101,
-) -> HomCurve:
-    """Sample the delay curve over +-HOM_SPAN l_c and attach its contrast."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """``npoints`` delays over +-HOM_SPAN l_c and the coincidence rate at each.
+
+    Visibilities take libm's ``math.exp`` (``np.exp`` can differ in the last
+    bit), so each rate equals :func:`joint_probability` at its delay."""
+    nu0 = _check_visibility(nu0, "nu0")
+    if not coherence_length > 0.0:
+        raise ValueError(f"coherence_length must be positive, got {coherence_length}")
     if npoints < 2:
         raise ValueError(f"npoints must be >= 2, got {npoints}")
-    half_width = HOM_SPAN * model.coherence_length
+    half_width = HOM_SPAN * coherence_length
     delays = np.linspace(-half_width, half_width, npoints)
-    rates = np.array([hom_rate(alice, bob, d, model, nu0) for d in delays])
-    return HomCurve(delays, rates, contrast(alice, bob, nu0))
+    nus = np.array([nu0 * math.exp(-x * x) for x in (delays / coherence_length).tolist()])
+    b = bob.state
+    return delays, joint_rates(alice.theta, alice.phi, b.theta, b.phi, bob.weight, nus)
 
 
-def write_hom_csv(curve: HomCurve, path: str | Path) -> None:
+def write_hom_csv(delays: np.ndarray, rates: np.ndarray, path: str | Path) -> None:
     """Dump a delay curve as ``delta,rate`` rows, 12 significant digits."""
     lines = ["delta,rate"]
-    for d, r in zip(curve.delays, curve.rates):
+    for d, r in zip(delays.tolist(), rates.tolist()):
         lines.append(f"{d:.12g},{r:.12g}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -19,7 +19,7 @@ from speckle_bell.chsh import (
     s_value,
     write_srecords_csv,
 )
-from speckle_bell.medium import bob_projector_set, random_tm
+from speckle_bell.medium import HaarChannel, bob_projector_set
 from speckle_bell.polarization import PoincareState, Projector
 from speckle_bell.stats import AcquisitionConfig, noisy_enumerate
 
@@ -156,8 +156,7 @@ def test_build_bob_bases_counts_and_labels():
 
 
 def test_enumerate_counts_n30():
-    tm = random_tm(40, 2)
-    projectors = bob_projector_set(tm, list(range(15)))
+    projectors = bob_projector_set(HaarChannel(40, 2).columns(), list(range(15)))
     rng = np.random.default_rng(33)
     enum = enumerate_s(random_alice_pair(rng), projectors, 0.93)
     assert enum.labels.size**2 == 189_225

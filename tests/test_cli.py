@@ -256,6 +256,24 @@ def test_hom_invalid_position(tmp_path, small_config, capsys):
         assert not list(tmp_path.glob("run_*"))
 
 
+# hom flag values that used to give a curve of nan, or an error naming no flag.
+_BAD_HOM_FLAGS = {
+    "hwp-nan": (["--alice-hwp-deg", "nan"], "--alice-hwp-deg"),
+    "hwp-inf": (["--alice-hwp-deg", "inf"], "--alice-hwp-deg"),
+    "qwp-minus-inf": (["--alice-qwp-deg=-inf"], "--alice-qwp-deg"),
+    "one-point": (["--points", "1"], "--points"),
+}
+
+
+@pytest.mark.parametrize(("argv", "flag"), _BAD_HOM_FLAGS.values(), ids=_BAD_HOM_FLAGS.keys())
+def test_hom_rejects_bad_flag_values(tmp_path, small_config, capsys, argv, flag):
+    out = tmp_path / "h"
+    assert main(["hom", "--config", small_config, "--seed", "2", "--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.strip().count("\n") == 0
+    assert not out.exists()
+
+
 def test_sweep_ordering(tmp_path, small_config):
     out = tmp_path / "s"
     code = main(
@@ -429,32 +447,27 @@ def test_tm_dump_round_trip(tmp_path, small_config):
 def test_column_subcommands_never_build_the_full_channel(tmp_path, monkeypatch):
     from speckle_bell import medium
 
-    def refuse(*args):
-        raise AssertionError("the full channel matrix was built")
+    # Every subcommand but tm samples the input mode's two columns exactly
+    # once; tm samples only the full matrix, 2M = 24 columns.
+    columns = []
+    leading = medium._haar_leading
 
-    # Every subcommand but tm samples the input mode's block exactly once;
-    # tm samples only the full matrix.
-    blocks = []
-    sample_block = medium.haar_columns
+    def counted(m_spatial, seed, r):
+        columns.append(r)
+        return leading(m_spatial, seed, r)
 
-    def counted(*args):
-        blocks.append(args)
-        return sample_block(*args)
-
-    monkeypatch.setattr(medium, "random_tm", refuse)
-    monkeypatch.setattr(medium, "haar_columns", counted)
+    monkeypatch.setattr(medium, "_haar_leading", counted)
     config = tmp_path / "m12.cfg"
     config.write_text("m_spatial = 12\nn_positions = 4\n")
     common = ["--config", str(config), "--seed", "1"]
     for argv in (["chsh"], ["chsh", "--noiseless"], ["sweep", "--alice-draws", "2"],
                  ["hom", "--position", "3"], ["speckle"]):
-        blocks.clear()
+        columns.clear()
         assert main([*argv, *common, "--out", str(tmp_path / "out")]) == 0
-        assert len(blocks) == 1, argv
-    blocks.clear()
-    with pytest.raises(AssertionError):
-        main(["tm", *common, "--out", str(tmp_path / "tm")])
-    assert blocks == []
+        assert columns == [2], argv
+    columns.clear()
+    assert main(["tm", *common, "--out", str(tmp_path / "tm")]) == 0
+    assert columns == [24]
 
 
 def test_bad_config_path(tmp_path, capsys):
@@ -462,3 +475,14 @@ def test_bad_config_path(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.strip().count("\n") == 0
+
+
+def test_non_utf8_config_names_its_file(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"m_spatial = 12\n# \xff\n")
+    out = tmp_path / "c"
+    assert main(["chsh", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {path}: ")
+    assert err.strip().count("\n") == 0
+    assert not out.exists()

@@ -47,7 +47,11 @@ CASES = {
     "sweep-tiles": (TILES, ["sweep", "--nus", "0,0.93,1", "--alice-draws", "2"]),
     "hom": (SMALL, ["hom", "--position", "2", "--bob-detector", "2",
                     "--alice-hwp-deg", "10", "--alice-qwp-deg", "30"]),
+    # Coherence length, visibility, point count and Alice detector off their defaults.
+    "hom-wide": (SMALL + "coherence_length = 0.37\n",
+                 ["hom", "--nu", "0.5", "--points", "7", "--alice-detector", "2"]),
     "speckle": (SMALL, ["speckle", "--input-pol", "R"]),
+    "speckle-D": (SMALL, ["speckle", "--input-pol", "D"]),
     "tm": (SMALL, ["tm"]),
 }
 
@@ -70,7 +74,9 @@ GOLDEN = {
     "chsh-tiles-noiseless/report.json": "a485985e97dd548527bf6fded9d2997d3ae03d7cfea5ccb54497b4a756a517ee",
     "chsh-tiles-noiseless/srecords.csv": "29b987b5bfec39c304999451bc06ed4238cb44af519759b5f6c2e945aa3590e4",
     "hom/hom_5.csv": "de124ce1cd598c1c99b552589dcfd1a9471a04d1f8c7f5d123e1024797329c14",
+    "hom-wide/hom_0.csv": "80b253d474f0aa145b856c4ef7c576aba2074e170e87ab814645f9b5a0c6a5dd",
     "speckle/speckle.csv": "5a50f3e57ffa1d5abf3f4b5aeef84c0b7d857f9cd2ff041fd1335b358e755b19",
+    "speckle-D/speckle.csv": "a3c60f1cf36cb6517aaedd1103dd9e0b05d0d42d79a7e60d27e98aa1ad193bf3",
     "sweep/sweep_hist_nu_0.93.csv": "b22b38cd622026a0d5a52f9a39521e577ac4f69212a17b1c43efe631007db107",
     "sweep/sweep_hist_nu_0.csv": "61c202a67e9e185532ea3ca61102295d78e707d1d6aeedc9e76430cd17cef143",
     "sweep/sweep_hist_nu_1.csv": "e887db6669e9d19ed7e0a5d4d3be943ac2b537d70f98632f86f7d49184f470d9",

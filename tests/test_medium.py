@@ -16,7 +16,6 @@ from speckle_bell.medium import (
     HaarChannel,
     TransmissionMatrix,
     bob_projector_set,
-    haar_columns,
     load_tm,
     random_tm,
     save_tm,
@@ -25,8 +24,9 @@ from speckle_bell.medium import (
 from speckle_bell.polarization import AmplitudeVector
 
 
-def identity_tm(m):
-    return TransmissionMatrix(m, np.eye(2 * m, dtype=complex), seed=0)
+def identity_block(m):
+    """The lit input mode's (2M, 2) block of the identity channel."""
+    return np.eye(2 * m, 2, dtype=complex)
 
 
 def test_random_tm_smallest_case():
@@ -66,11 +66,9 @@ def test_haar_columns_match_random_tm():
         for seed in (0, 5, 123):
             entries = random_tm(m, seed).entries
             channel = HaarChannel(m, seed)
-            block = haar_columns(m, seed)
+            block = channel.columns()
             assert not block.flags.writeable
             assert block.tobytes() == entries[:, :2].tobytes()
-            assert channel.columns().tobytes() == block.tobytes()
-            assert TransmissionMatrix(m, entries).columns().tobytes() == block.tobytes()
             assert channel.entries.tobytes() == entries.tobytes()
 
 
@@ -78,9 +76,9 @@ def test_haar_columns_match_random_tm():
 # the same columns of the full unitary.
 _THREAD_PROBE = """
 import hashlib
-from speckle_bell.medium import haar_columns, random_tm
+from speckle_bell.medium import HaarChannel, random_tm
 for seed in (3, 41):
-    print(hashlib.sha256(haar_columns(200, seed).tobytes()).hexdigest(),
+    print(hashlib.sha256(HaarChannel(200, seed).columns().tobytes()).hexdigest(),
           hashlib.sha256(random_tm(200, seed).entries[:, :2].tobytes()).hexdigest())
 """
 
@@ -101,7 +99,7 @@ def test_haar_columns_independent_of_blas_threads():
 
 
 def test_projector_identity_h_detector():
-    p = bob_projector_set(identity_tm(3), [0])[POL_H]
+    p = bob_projector_set(identity_block(3), [0])[POL_H]
     assert p.amplitude == 1.0
     assert p.state.theta == 0.0 and p.state.phi == 0.0
 
@@ -109,7 +107,7 @@ def test_projector_identity_h_detector():
 def test_projector_identity_v_detector():
     # limit of the angle formulas as the H coefficient vanishes; the
     # projected state must be V, confirmed by the overlap oracle
-    p = bob_projector_set(identity_tm(3), [0])[POL_V]
+    p = bob_projector_set(identity_block(3), [0])[POL_V]
     assert abs(p.amplitude - 1.0) < 1e-12
     assert p.state.theta == math.pi and p.state.phi == 0.0
     from speckle_bell.polarization import PoincareState, overlap
@@ -118,39 +116,34 @@ def test_projector_identity_v_detector():
 
 
 def test_projector_direct_substitution():
-    m = 2
-    entries = np.eye(2 * m, dtype=complex)
-    entries[0, 0] = 1 / math.sqrt(2)       # t^HH at (k=0, b=0)
-    entries[0, 1] = 1j / math.sqrt(2)      # t^HV
-    tm = TransmissionMatrix(m, entries)
-    p = bob_projector_set(tm, [0])[POL_H]
+    block = identity_block(2)
+    block[0, 0] = 1 / math.sqrt(2)       # t^HH at (k=0, b=0)
+    block[0, 1] = 1j / math.sqrt(2)      # t^HV
+    p = bob_projector_set(block, [0])[POL_H]
     assert abs(abs(p.amplitude) - 1.0) < 1e-12
     assert abs(p.state.theta - math.pi / 2) < 1e-12
     assert abs(p.state.phi - math.pi / 2) < 1e-12
 
 
 def test_projector_dark():
-    m = 2
-    entries = np.zeros((2 * m, 2 * m), dtype=complex)
-    entries[2, 2] = 1.0
-    tm = TransmissionMatrix(m, entries)
-    p = bob_projector_set(tm, [0])[POL_H]
+    block = np.zeros((4, 2), dtype=complex)  # M = 2, input mode 0 routes no light
+    p = bob_projector_set(block, [0])[POL_H]
     assert p.amplitude == 0 and p.weight == 0.0
 
 
 def test_projector_out_of_range():
     with pytest.raises(ValueError):
-        bob_projector_set(identity_tm(2), [5])
+        bob_projector_set(identity_block(2), [5])
 
 
 def test_bob_projector_set_counts():
-    tm = random_tm(20, 3)
-    assert len(bob_projector_set(tm, list(range(15)))) == 30
-    assert len(bob_projector_set(tm, [0, 3, 7, 9])) == 8
+    block = HaarChannel(20, 3).columns()
+    assert len(bob_projector_set(block, list(range(15)))) == 30
+    assert len(bob_projector_set(block, [0, 3, 7, 9])) == 8
 
 
 def test_bob_projector_set_identity_pair():
-    projs = bob_projector_set(identity_tm(2), [0])
+    projs = bob_projector_set(identity_block(2), [0])
     assert len(projs) == 2
     assert projs[0].state.theta == 0.0  # H detector first
     assert projs[1].state.theta == math.pi
@@ -158,9 +151,9 @@ def test_bob_projector_set_identity_pair():
 
 def test_bob_projector_set_rejects_duplicates():
     with pytest.raises(ValueError):
-        bob_projector_set(random_tm(4, 0), [1, 1])
+        bob_projector_set(HaarChannel(4, 0).columns(), [1, 1])
     with pytest.raises(ValueError):
-        bob_projector_set(random_tm(4, 0), [])
+        bob_projector_set(HaarChannel(4, 0).columns(), [])
 
 
 def test_projector_energy_accounting():
@@ -170,7 +163,7 @@ def test_projector_energy_accounting():
     total_c = 0.0
     for k in range(tm.m_spatial):
         for pol in (POL_H, POL_V):
-            total_c += bob_projector_set(tm, [k])[pol].weight
+            total_c += bob_projector_set(tm.entries[:, :2], [k])[pol].weight
     assert abs(total_c - 2.0) < 1e-10
     col_h = np.sum(np.abs(tm.entries[:, 0]) ** 2)
     col_v = np.sum(np.abs(tm.entries[:, 1]) ** 2)
@@ -182,10 +175,10 @@ def test_detector_angles_uncorrelated():
     # statistically independent for strongly mixing channels
     thetas_h, thetas_v, phis_h, phis_v = [], [], [], []
     for seed in range(10):
-        tm = random_tm(200, 100 + seed)
-        for k in range(tm.m_spatial):
-            ph = bob_projector_set(tm, [k])[POL_H]
-            pv = bob_projector_set(tm, [k])[POL_V]
+        block = HaarChannel(200, 100 + seed).columns()
+        for k in range(200):
+            ph = bob_projector_set(block, [k])[POL_H]
+            pv = bob_projector_set(block, [k])[POL_V]
             thetas_h.append(ph.state.theta)
             thetas_v.append(pv.state.theta)
             phis_h.append(ph.state.phi)
@@ -211,35 +204,35 @@ def test_eigenphases_uniform():
 
 
 def test_speckle_identity_routes_input():
-    pattern = speckle_intensity(identity_tm(4), AmplitudeVector(1.0, 0.0))
-    assert abs(pattern.intensity_h[0] - 1.0) < 1e-12
-    total = np.sum(pattern.intensity_h) + np.sum(pattern.intensity_v)
+    intensity = speckle_intensity(identity_block(4), AmplitudeVector(1.0, 0.0))
+    assert intensity.shape == (4, 2) and not intensity.flags.writeable
+    intensity_h, intensity_v = intensity.T
+    assert abs(intensity_h[0] - 1.0) < 1e-12
+    total = np.sum(intensity_h) + np.sum(intensity_v)
     assert total == pytest.approx(1.0, abs=1e-10)
     mask = np.ones(4, dtype=bool)
     mask[0] = False
-    assert np.max(pattern.intensity_h[mask]) < 1e-12
-    assert np.max(pattern.intensity_v) < 1e-12
+    assert np.max(intensity_h[mask]) < 1e-12
+    assert np.max(intensity_v) < 1e-12
 
 
 def test_speckle_conserves_intensity():
-    tm = random_tm(100, 17)
     v = AmplitudeVector(0.6, 0.8j)
-    pattern = speckle_intensity(tm, v)
-    assert abs(np.sum(pattern.intensity_h) + np.sum(pattern.intensity_v) - 1.0) < 1e-10
+    intensity_h, intensity_v = speckle_intensity(HaarChannel(100, 17).columns(), v).T
+    assert abs(np.sum(intensity_h) + np.sum(intensity_v) - 1.0) < 1e-10
 
 
 def test_speckle_rejects_unnormalized_input():
     with pytest.raises(ValueError):
-        speckle_intensity(random_tm(4, 0), AmplitudeVector(1.0, 1.0))
+        speckle_intensity(HaarChannel(4, 0).columns(), AmplitudeVector(1.0, 1.0))
 
 
 def test_speckle_intensities_exponential():
     scipy_stats = pytest.importorskip("scipy.stats")
-    tm = random_tm(200, 31)
-    pattern = speckle_intensity(tm, AmplitudeVector(1.0, 0.0))
-    samples = np.concatenate([pattern.intensity_h, pattern.intensity_v])
+    intensity = speckle_intensity(HaarChannel(200, 31).columns(), AmplitudeVector(1.0, 0.0))
+    samples = np.concatenate(intensity.T)
     # unit column norm fixes the theoretical mean at 1/(2M)
-    scaled = samples * (2 * tm.m_spatial)
+    scaled = samples * (2 * 200)
     _, p = scipy_stats.kstest(scaled, "expon")
     assert p > 0.01
 

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speckle_bell.medium import POL_H, POL_V, bob_projector_set, random_tm
+from speckle_bell.medium import POL_H, POL_V, HaarChannel, bob_projector_set
 from speckle_bell.pairsource import (
-    DelayModel,
+    HOM_SPAN,
     PairStateModel,
     UndefinedContrastError,
     contrast,
     hom_curve,
-    hom_rate,
     joint_probability,
     joint_rates,
     oracle_joint_probability,
@@ -109,11 +108,11 @@ def test_visibility_linearity():
 def test_two_outcome_completeness():
     # over both Alice outcomes and both detectors of one output mode the
     # rates sum to the routed probability, independent of visibility
-    tm = random_tm(30, 8)
+    block = HaarChannel(30, 8).columns()
     rng = np.random.default_rng(22)
     for k in (0, 7, 19):
-        p_h = bob_projector_set(tm, [k])[POL_H]
-        p_v = bob_projector_set(tm, [k])[POL_V]
+        p_h = bob_projector_set(block, [k])[POL_H]
+        p_v = bob_projector_set(block, [k])[POL_V]
         routed = (p_h.weight + p_v.weight) / 2
         alice = random_state(rng)
         totals = []
@@ -195,26 +194,51 @@ def test_pair_state_model_density_matrix():
 # ----------------------------------------------------------------- hom / C
 
 def test_hom_rate_endpoints():
-    model = DelayModel(0.1)
-    bob = unit(math.pi / 2, math.pi)
-    assert hom_rate(D, bob, 0.0, model, 1.0) == pytest.approx(0.5, abs=1e-12)
-    assert hom_rate(D, bob, 1.0, model, 1.0) == pytest.approx(0.25, abs=1e-10)
+    # three points: delays -5 l_c, 0 and 5 l_c
+    delays, rates = hom_curve(D, unit(math.pi / 2, math.pi), 0.1, 1.0, npoints=3)
+    assert delays[1] == 0.0
+    assert rates[1] == pytest.approx(0.5, abs=1e-12)
+    assert rates[0] == pytest.approx(0.25, abs=1e-10)
+    assert rates[2] == pytest.approx(0.25, abs=1e-10)
 
 
 def test_hom_rate_even_in_delay():
     rng = np.random.default_rng(24)
-    model = DelayModel(0.1)
     for _ in range(100):
         alice = random_state(rng)
         bob = random_projector(rng)
         nu0 = rng.uniform(0, 1)
-        delta = rng.uniform(0, 0.5)
-        assert hom_rate(alice, bob, delta, model, nu0) == hom_rate(alice, bob, -delta, model, nu0)
+        coherence_length = rng.uniform(0.01, 0.1)
+        delays, rates = hom_curve(alice, bob, coherence_length, nu0, npoints=2)
+        assert delays[0] == -delays[1] == -HOM_SPAN * coherence_length
+        assert rates[0] == rates[1]
+
+
+def test_hom_curve_equals_joint_probability_per_delay():
+    # the scan's one broadcast call against a scalar call per delay, bit for bit
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        alice = random_state(rng)
+        bob = random_projector(rng)
+        nu0 = rng.uniform(0, 1)
+        coherence_length = math.exp(rng.uniform(-8, 4))
+        npoints = int(rng.integers(2, 300))
+        delays, rates = hom_curve(alice, bob, coherence_length, nu0, npoints)
+        assert delays.shape == rates.shape == (npoints,)
+        for delta, rate in zip(delays.tolist(), rates.tolist()):
+            x = delta / coherence_length
+            assert rate == joint_probability(alice, bob, nu0 * math.exp(-x * x))
 
 
 def test_delay_model_validation():
-    with pytest.raises(ValueError):
-        DelayModel(0.0)
+    bob = unit(math.pi / 2, math.pi)
+    for coherence_length in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="coherence_length"):
+            hom_curve(D, bob, coherence_length, 0.93)
+    with pytest.raises(ValueError, match="npoints"):
+        hom_curve(D, bob, 0.1, 0.93, npoints=1)
+    with pytest.raises(ValueError, match="nu0"):
+        hom_curve(D, bob, 0.1, 1.5)
 
 
 def test_contrast_d_and_a_anchor():
@@ -237,15 +261,15 @@ def test_contrast_undefined_at_opposite_poles():
 
 def test_contrast_matches_endpoint_ratio():
     rng = np.random.default_rng(26)
-    model = DelayModel(0.1)
     for _ in range(1000):
         alice = random_state(rng)
         bob = random_projector(rng)
         if bob.weight < 1e-6:
             continue
         nu0 = rng.uniform(0, 1)
-        r0 = hom_rate(alice, bob, 0.0, model, nu0)
-        rinf = hom_rate(alice, bob, 60 * model.coherence_length, model, nu0)
+        # the delay scan's visibilities at zero and infinite delay
+        r0 = joint_probability(alice, bob, nu0)
+        rinf = joint_probability(alice, bob, 0.0)
         if rinf <= 1e-300:
             continue
         assert abs(contrast(alice, bob, nu0) - (r0 - rinf) / rinf) < 1e-12
@@ -254,10 +278,10 @@ def test_contrast_matches_endpoint_ratio():
 def test_contrast_desk_scale_panel():
     # eight random channel modes: D and A contrasts are sign-opposed per
     # mode and bounded by the source visibility
-    tm = random_tm(50, 12)
+    block = HaarChannel(50, 12).columns()
     nu0 = 0.93
     projs = [
-        bob_projector_set(tm, [k])[pol]
+        bob_projector_set(block, [k])[pol]
         for k in (3, 11, 24, 40)
         for pol in (POL_H, POL_V)
     ]
@@ -269,15 +293,14 @@ def test_contrast_desk_scale_panel():
 
 
 def test_hom_curve_shape_and_export(tmp_path):
-    model = DelayModel(0.1)
-    curve = hom_curve(D, unit(math.pi / 2, math.pi), model, 0.93)
-    assert curve.delays.shape == (101,)
-    assert curve.delays[0] == -0.5 and curve.delays[-1] == 0.5
-    assert np.all(curve.rates >= 0)
+    delays, rates = hom_curve(D, unit(math.pi / 2, math.pi), 0.1, 0.93)
+    assert delays.shape == rates.shape == (101,)
+    assert delays[0] == -0.5 and delays[-1] == 0.5
+    assert np.all(rates >= 0)
     path = tmp_path / "hom.csv"
-    write_hom_csv(curve, path)
+    write_hom_csv(delays, rates, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "delta,rate"
     assert len(lines) == 102
-    write_hom_csv(curve, tmp_path / "hom2.csv")
+    write_hom_csv(delays, rates, tmp_path / "hom2.csv")
     assert (tmp_path / "hom2.csv").read_bytes() == path.read_bytes()
