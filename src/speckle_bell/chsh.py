@@ -64,12 +64,10 @@ class CorrelationValue:
 
 @dataclass(frozen=True)
 class SRecord:
-    """One CHSH evaluation: S, its standard deviation and the setting labels."""
+    """One CHSH evaluation: S and its standard deviation."""
 
     s: float
     sigma: float
-    alice_bases: tuple
-    bob_bases: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +136,7 @@ def s_value(
     e3 = correlation(a, b_kprime, nu).e
     e4 = correlation(a_prime, b_kprime, nu).e
     s = abs(((e1 + e2) + e3) - e4)
-    return SRecord(s, 0.0, (a.label, a_prime.label), (b_k.label, b_kprime.label))
+    return SRecord(s, 0.0)
 
 
 def rate_matrix(
@@ -248,13 +246,12 @@ def _with_complements(theta: np.ndarray, phi: np.ndarray):
     return np.stack((theta, np.pi - theta), -2), np.stack((phi, phi + np.pi), -2)
 
 
-def max_violation_search(nu: float, trials: int, seed: int) -> SRecord:
+def max_violation_search(nu: float, trials: int, seed: int) -> float:
     """Brute-force search for the largest S over random setting quadruples.
 
     Each trial draws Alice's two bases from random waveplate angles and two
     Bob bases, each a uniformly random state paired with its orthogonal
-    complement at unit weight.  Returns the best record; its Bob labels
-    carry the winning trial index.
+    complement at unit weight.  Returns the largest S.
     """
     _check_visibility(nu)
     if trials < 1:
@@ -262,7 +259,6 @@ def max_violation_search(nu: float, trials: int, seed: int) -> SRecord:
     rng = np.random.default_rng(seed)
 
     best_s = -1.0
-    best_trial = -1
     done = 0
     while done < trials:
         n = min(_SEARCH_CHUNK, trials - done)
@@ -277,13 +273,9 @@ def max_violation_search(nu: float, trials: int, seed: int) -> SRecord:
             th_b[None, :, None], ph_b[None, :, None], 1.0, nu,
         ).reshape(2, 2, 4, n)
         e = cell_correlations(cells)
-        s = s_combination(e[0], e[1])[0, 1]
-        arg = int(np.argmax(s))
-        if float(s[arg]) > best_s:
-            best_s = float(s[arg])
-            best_trial = done + arg
+        best_s = max(best_s, float(s_combination(e[0], e[1])[0, 1].max()))
         done += n
-    return SRecord(best_s, 0.0, ("A", "A'"), (best_trial, best_trial))
+    return best_s
 
 
 def write_srecords_csv(enumeration: SEnumeration, path: str | Path) -> None:

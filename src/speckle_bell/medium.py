@@ -18,13 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .polarization import AmplitudeVector, PoincareState, Projector, wrap_angle
+from .polarization import AmplitudeVector, PoincareState, Projector
 
 POL_H, POL_V = 0, 1
-
-# Below this magnitude a coefficient is treated as exactly zero when
-# extracting projector angles (the angle formulas are undefined there).
-DEGENERATE_EPS = 1e-300
 
 
 @dataclass(frozen=True)
@@ -123,23 +119,17 @@ def _projector(coefficients: np.ndarray) -> Projector:
     """Effective polarization projector of one output row of the input-mode block.
 
     For coefficients ``t_h`` (from input H) and ``t_v`` (from input V) into
-    that output, the projector has ``|c| = sqrt(|t_v|^2 + |t_h|^2)``,
-    ``arg c = arg t_h``, ``theta = 2 atan(|t_v|/|t_h|)`` and
-    ``phi = arg t_v - arg t_h``.  Degenerate coefficients fall back to the
-    pole values; if both vanish the projector is dark.
+    that output, the state is the Jones vector ``(t_h, t_v)`` on the sphere
+    (:meth:`AmplitudeVector.to_poincare`), and the amplitude ``c`` has
+    ``|c| = sqrt(|t_h|^2 + |t_v|^2)`` and ``arg c = arg t_h`` (``arg t_v``
+    when ``t_h`` is zero).  If both vanish the projector is dark.
     """
     t_h, t_v = complex(coefficients[0]), complex(coefficients[1])
-    ah, av = abs(t_h), abs(t_v)
-    if ah < DEGENERATE_EPS and av < DEGENERATE_EPS:
+    if t_h == 0 and t_v == 0:
         return Projector(0j, PoincareState(0.0, 0.0))
-    magnitude = math.hypot(ah, av)
-    if ah < DEGENERATE_EPS:
-        return Projector(
-            cmath.rect(magnitude, cmath.phase(t_v)), PoincareState(math.pi, 0.0)
-        )
-    theta = 2.0 * math.atan2(av, ah)
-    phi = wrap_angle(cmath.phase(t_v) - cmath.phase(t_h))
-    return Projector(cmath.rect(magnitude, cmath.phase(t_h)), PoincareState(theta, phi))
+    magnitude = math.hypot(abs(t_h), abs(t_v))
+    phase = cmath.phase(t_h if t_h else t_v)
+    return Projector(cmath.rect(magnitude, phase), AmplitudeVector(t_h, t_v).to_poincare())
 
 
 def bob_projector_set(block: np.ndarray, positions: list[int]) -> list[Projector]:

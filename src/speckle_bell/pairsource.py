@@ -24,7 +24,6 @@ for a coherence length l_c; :func:`hom_curve` scans it over +-HOM_SPAN l_c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,22 +54,13 @@ def _half_trig(theta):
     return np.cos(half) * (theta != math.pi), np.sin(half)
 
 
-@dataclass(frozen=True)
-class PairStateModel:
-    """Photon-pair source parametrized by interference visibility."""
-
-    visibility: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "visibility", _check_visibility(self.visibility, "visibility"))
-
-    def density_matrix(self) -> np.ndarray:
-        """4x4 two-photon density matrix in the (HH, HV, VH, VV) basis."""
-        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-        rho_ent = np.outer(singlet, singlet.conj())
-        rho_sep = np.diag([0.0, 0.5, 0.5, 0.0])
-        nu = self.visibility
-        return nu * rho_ent + (1.0 - nu) * rho_sep
+def density_matrix(nu: float) -> np.ndarray:
+    """4x4 two-photon density matrix of visibility ``nu`` in the (HH, HV, VH, VV) basis."""
+    nu = _check_visibility(nu, "visibility")
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    rho_ent = np.outer(singlet, singlet.conj())
+    rho_sep = np.diag([0.0, 0.5, 0.5, 0.0])
+    return nu * rho_ent + (1.0 - nu) * rho_sep
 
 
 def joint_rates(theta_a, phi_a, theta_b, phi_b, weight_b, nu: float):
@@ -106,7 +96,7 @@ def oracle_joint_probability(alice: PoincareState, bob: Projector, nu: float) ->
     with the tensor product of the two projectors.  Equals
     :func:`joint_probability` evaluated on ``relabeled(bob)``.
     """
-    rho = PairStateModel(nu).density_matrix()
+    rho = density_matrix(nu)
     a = amplitude_vector(alice)
     b = amplitude_vector(bob.state)
     va = np.array([a.h, a.v])

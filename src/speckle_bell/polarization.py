@@ -196,8 +196,8 @@ def waveplate_detector1_angles(
     return theta, phi
 
 
-def random_alice_basis(rng: np.random.Generator) -> tuple[PoincareState, PoincareState]:
-    """Orthogonal detector-state pair for uniformly random waveplate angles.
+def random_alice_state(rng: np.random.Generator) -> PoincareState:
+    """Detector-1 state of the analyzer at uniformly random waveplate angles.
 
     Draws the HWP angle, then the QWP angle, each uniform on [0, 2*pi).
     Note the resulting states are uniform in waveplate angles, not Haar
@@ -205,5 +205,4 @@ def random_alice_basis(rng: np.random.Generator) -> tuple[PoincareState, Poincar
     """
     alpha = rng.uniform(0.0, TWO_PI)
     beta = rng.uniform(0.0, TWO_PI)
-    setting = WaveplateSetting(alpha, beta)
-    return waveplate_projection(setting, 1), waveplate_projection(setting, 2)
+    return waveplate_projection(WaveplateSetting(alpha, beta), 1)

@@ -133,11 +133,7 @@ def e_with_sigma(record: CountRecord) -> tuple[float, float]:
     return e, math.sqrt(var)
 
 
-def s_with_sigma(
-    records: Sequence[CountRecord],
-    alice_bases: tuple = ("A", "A'"),
-    bob_bases: tuple = (0, 1),
-) -> SRecord:
+def s_with_sigma(records: Sequence[CountRecord]) -> SRecord:
     """S and its propagated error from the four CountRecords of one quadruple.
 
     Record order is (A,B_K), (A',B_K), (A,B_K'), (A',B_K'); the last enters
@@ -149,7 +145,7 @@ def s_with_sigma(
     (e1, g1), (e2, g2), (e3, g3), (e4, g4) = (e_with_sigma(r) for r in records)
     s = abs(((e1 + e2) + e3) - e4)
     sigma = math.sqrt(((g1 * g1 + g2 * g2) + g3 * g3) + g4 * g4)
-    return SRecord(s, sigma, alice_bases, bob_bases)
+    return SRecord(s, sigma)
 
 
 def noisy_enumerate(

@@ -71,8 +71,8 @@ def test_criterion_2_separable_search_bound():
     elapsed = time.time() - t0
     report(
         2,
-        best.s <= 2.0 + 1e-9 and elapsed < 10.0,
-        f"max S over 1e5 separable quadruples = {best.s:.6f}, {elapsed:.2f} s",
+        best <= 2.0 + 1e-9 and elapsed < 10.0,
+        f"max S over 1e5 separable quadruples = {best:.6f}, {elapsed:.2f} s",
     )
 
 

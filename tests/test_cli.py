@@ -262,6 +262,7 @@ _BAD_HOM_FLAGS = {
     "hwp-inf": (["--alice-hwp-deg", "inf"], "--alice-hwp-deg"),
     "qwp-minus-inf": (["--alice-qwp-deg=-inf"], "--alice-qwp-deg"),
     "one-point": (["--points", "1"], "--points"),
+    "too-many-points": (["--points", "1000001"], "--points"),
 }
 
 
@@ -339,6 +340,9 @@ def test_sweep_rejects_bad_nus(tmp_path, small_config, capsys):
         (["--nus", "0,2.5"], "visibility"),
         (["--nus", ""], "empty"),
         (["--nus", "0,x"], "--nus"),
+        # each nu names its histogram file to 6 significant digits
+        (["--nus", "0.93,0.9300001"], "--nus"),
+        (["--nus", "0.5,0.5"], "--nus"),
         (["--alice-draws", "0"], "alice_draws"),
     ]
     for i, (argv, field) in enumerate(cases):
@@ -346,8 +350,8 @@ def test_sweep_rejects_bad_nus(tmp_path, small_config, capsys):
         code = main(["sweep", "--config", small_config, "--out", str(out)] + argv)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and field in err
-        assert not list(out.glob("run_*"))  # rejected before any file is written
+        assert err.startswith("error:") and field in err and err.strip().count("\n") == 0
+        assert not out.exists()  # rejected before any file is written
 
 
 # Configs that would fail partway through a run; validate() must reject them first.

@@ -1,4 +1,6 @@
+import cmath
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -21,7 +23,8 @@ from speckle_bell.medium import (
     save_tm,
     speckle_intensity,
 )
-from speckle_bell.polarization import AmplitudeVector
+from speckle_bell.pairsource import joint_rates
+from speckle_bell.polarization import AmplitudeVector, PoincareState, Projector, wrap_angle
 
 
 def identity_block(m):
@@ -129,6 +132,56 @@ def test_projector_dark():
     block = np.zeros((4, 2), dtype=complex)  # M = 2, input mode 0 routes no light
     p = bob_projector_set(block, [0])[POL_H]
     assert p.amplitude == 0 and p.weight == 0.0
+
+
+def angle_formula_projector(t_h: complex, t_v: complex) -> Projector:
+    """The projector from its angle formulas written out, with the pole values
+    (theta = pi, phi = 0, arg c = arg t_v) when |t_h| < 1e-300, and dark when
+    both magnitudes are."""
+    ah, av = abs(t_h), abs(t_v)
+    if ah < 1e-300 and av < 1e-300:
+        return Projector(0j, PoincareState(0.0, 0.0))
+    magnitude = math.hypot(ah, av)
+    if ah < 1e-300:
+        return Projector(cmath.rect(magnitude, cmath.phase(t_v)), PoincareState(math.pi, 0.0))
+    theta = 2.0 * math.atan2(av, ah)
+    phi = wrap_angle(cmath.phase(t_v) - cmath.phase(t_h))
+    return Projector(cmath.rect(magnitude, cmath.phase(t_h)), PoincareState(theta, phi))
+
+
+def test_projector_matches_angle_formulas_bit_for_bit():
+    # magnitudes over 40 decades, so either coefficient can dominate
+    rng = np.random.default_rng(60)
+    block = (rng.standard_normal((4000, 2)) + 1j * rng.standard_normal((4000, 2))) * 10.0 ** (
+        rng.uniform(-20.0, 20.0, (4000, 2))
+    )
+    got = bob_projector_set(block, list(range(2000)))
+    want = [angle_formula_projector(*row) for row in block.tolist()]
+    assert [repr(p) for p in got] == [repr(p) for p in want]
+
+
+def test_projector_edge_rows_give_the_pole_rates():
+    """Rows with exact zeros of either sign, subnormals and magnitudes below
+    1e-300 may differ from the pole values in phi at a pole or in the phase of
+    an amplitude whose weight is 0, but never in a joint rate."""
+    parts = (0.0, -0.0, 5e-324, -5e-324, 1e-301, -1e-301, 0.6, -1.0)
+    block = np.array(
+        [complex(a, b) for a, b in itertools.product(parts, repeat=2)], dtype=complex
+    )
+    block = np.array(list(itertools.product(block, repeat=2)))  # every (t_h, t_v)
+    got = bob_projector_set(block, list(range(len(block) // 2)))
+    want = [angle_formula_projector(*row) for row in block.tolist()]
+    rng = np.random.default_rng(61)
+    theta_a, phi_a = rng.uniform(0.0, math.pi, (64, 1)), rng.uniform(0.0, 2 * math.pi, (64, 1))
+
+    def rates(projectors, nu):
+        theta, phi, weight = np.array(
+            [(p.state.theta, p.state.phi, p.weight) for p in projectors]
+        ).T
+        return joint_rates(theta_a, phi_a, theta, phi, weight, nu)
+
+    for nu in (0.0, 0.93, 1.0):
+        assert rates(got, nu).tobytes() == rates(want, nu).tobytes()
 
 
 def test_projector_out_of_range():

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from speckle_bell.medium import POL_H, POL_V, HaarChannel, bob_projector_set
 from speckle_bell.pairsource import (
     HOM_SPAN,
-    PairStateModel,
     UndefinedContrastError,
     contrast,
+    density_matrix,
     hom_curve,
     joint_probability,
     joint_rates,
@@ -181,14 +181,14 @@ def test_joint_rates_exact_zero_at_orthogonal_poles():
                 assert joint_probability(alice, bob, nu) == rates[a, b]
 
 
-def test_pair_state_model_density_matrix():
-    rho = PairStateModel(0.4).density_matrix()
+def test_density_matrix():
+    rho = density_matrix(0.4)
     assert rho.shape == (4, 4)
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
     with pytest.raises(ValueError):
-        PairStateModel(1.2)
+        density_matrix(1.2)
 
 
 # ----------------------------------------------------------------- hom / C

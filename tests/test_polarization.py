@@ -10,7 +10,7 @@ from speckle_bell.polarization import (
     amplitude_vector,
     orthogonal_complement,
     overlap,
-    random_alice_basis,
+    random_alice_state,
     waveplate_detector1_angles,
     waveplate_projection,
     wrap_angle,
@@ -143,26 +143,18 @@ def test_vectorized_angles_match_scalar():
         assert overlap(ref, PoincareState(theta[k], phi[k])) > 1 - 1e-12
 
 
-def test_random_alice_basis_deterministic():
-    a = random_alice_basis(np.random.default_rng(42))
-    b = random_alice_basis(np.random.default_rng(42))
+def test_random_alice_state_deterministic():
+    a = random_alice_state(np.random.default_rng(42))
+    b = random_alice_state(np.random.default_rng(42))
     assert a == b
 
 
-def test_random_alice_basis_orthogonal():
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        s1, s2 = random_alice_basis(rng)
-        ip = amplitude_vector(s1).inner(amplitude_vector(s2))
-        assert abs(ip) < 1e-12
-
-
-def test_random_alice_basis_covers_sphere():
+def test_random_alice_state_covers_sphere():
     # 1e4 draws must hit every octant of the sphere
     rng = np.random.default_rng(10)
     occupancy = np.zeros(8, dtype=int)
     for _ in range(10_000):
-        s, _ = random_alice_basis(rng)
+        s = random_alice_state(rng)
         x = math.sin(s.theta) * math.cos(s.phi)
         y = math.sin(s.theta) * math.sin(s.phi)
         z = math.cos(s.theta)

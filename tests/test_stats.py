@@ -262,9 +262,9 @@ def test_noisy_enumerate_skips_dark_bases():
 
 def test_certify_thresholds():
     recs = [
-        SRecord(1.9, 0.05, ("A", "A'"), (1, 2)),
-        SRecord(2.5, 0.05, ("A", "A'"), (1, 3)),
-        SRecord(2.1, 0.05, ("A", "A'"), (2, 3)),
+        SRecord(1.9, 0.05),
+        SRecord(2.5, 0.05),
+        SRecord(2.1, 0.05),
     ]
     rep = certify(recs, skipped=4)
     assert rep.total == 3
@@ -275,20 +275,19 @@ def test_certify_thresholds():
 
 
 def test_certify_all_below():
-    rep = certify([SRecord(1.0, 0.0, ("A", "A'"), (1, 1))])
+    rep = certify([SRecord(1.0, 0.0)])
     assert rep.above_2 == 0 and rep.above_2_by_5sigma == 0
 
 
 def test_certify_noiseless_never_5sigma():
-    rep = certify([SRecord(2.8, 0.0, ("A", "A'"), (1, 2))])
+    rep = certify([SRecord(2.8, 0.0)])
     assert rep.above_2 == 1 and rep.above_2_by_5sigma == 0
 
 
 def test_certify_monotone_under_extension():
     rng = np.random.default_rng(47)
     records = [
-        SRecord(float(rng.uniform(0, 2.8)), float(rng.uniform(0.01, 0.2)), ("A", "A'"), (1, 1))
-        for _ in range(200)
+        SRecord(float(rng.uniform(0, 2.8)), float(rng.uniform(0.01, 0.2))) for _ in range(200)
     ]
     prev = certify(records[:0])
     for i in range(1, 200, 13):
@@ -326,10 +325,7 @@ CERTIFY_CASES = {
 def test_certify_arrays_matches_certify(name):
     """Row tiles of height 1, 7 or the whole grid fold to certify's report."""
     s, sigma = CERTIFY_CASES[name]
-    rows = [
-        SRecord(a, b, ("A", "A'"), (0, 0))
-        for a, b in zip(s.ravel().tolist(), sigma.ravel().tolist())
-    ]
+    rows = list(map(SRecord, s.ravel().tolist(), sigma.ravel().tolist()))
     for height in (1, 7, len(s) or 1):
         tiles = ((s[i:i + height], sigma[i:i + height]) for i in range(0, len(s), height))
         got = certify_arrays(tiles, skipped=3)
@@ -350,9 +346,7 @@ def test_certify_arrays_reads_s_tiles(monkeypatch):
     for enum in (enumerate_s(alice, projectors, 1.0), noisy_enumerate(alice, projectors, 1.0, cfg)):
         s, sigma = grids(enum)
         want = certify(
-            [SRecord(a, b, ("A", "A'"), (0, 0))
-             for a, b in zip(s.ravel().tolist(), sigma.ravel().tolist())],
-            skipped=enum.skipped,
+            list(map(SRecord, s.ravel().tolist(), sigma.ravel().tolist())), skipped=enum.skipped
         )
         for tile_rows in (1, 7, 10**6):
             monkeypatch.setattr(chsh, "_S_TILE_ROWS", tile_rows)
