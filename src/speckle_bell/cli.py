@@ -19,7 +19,6 @@ import numpy as np
 from . import chsh, medium, pairsource, stats
 from .polarization import (
     PoincareState,
-    WaveplateSetting,
     amplitude_vector,
     random_alice_state,
     waveplate_projection,
@@ -45,6 +44,9 @@ MAX_RECORDS = 2**26
 # hom --points: the curve and its CSV lines are held in memory (peak RSS
 # 231 MB measured at 10**6 points, 37 MB at the default 101).
 MAX_HOM_POINTS = 10**6
+
+# sweep holds one Alice pair (about 1.2 kB) per draw: at most about 116 MB.
+MAX_ALICE_DRAWS = 10**5
 
 
 class ConfigError(ValueError):
@@ -74,10 +76,10 @@ class ExperimentConfig:
 
     @property
     def acquisition(self) -> stats.AcquisitionConfig:
-        """Count-rate model, seeded by the counts stream of ``seed``."""
+        """Counts per unit joint probability, seeded by the counts stream of ``seed``."""
         return stats.AcquisitionConfig(
-            self.pair_rate, self.integration_time, self.efficiency,
-            seed=derive_seed(self.seed, _TAG_COUNTS),
+            self.pair_rate * self.efficiency**2 * self.integration_time,
+            derive_seed(self.seed, _TAG_COUNTS),
         )
 
     def validate(self) -> ExperimentConfig:
@@ -111,6 +113,10 @@ class ExperimentConfig:
             )
         if self.alice_draws < 1:
             raise ConfigError(f"alice_draws must be >= 1, got {self.alice_draws}")
+        if self.alice_draws > MAX_ALICE_DRAWS:
+            raise ConfigError(
+                f"alice_draws must be at most {MAX_ALICE_DRAWS}, got {self.alice_draws}"
+            )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.hist_lo < self.hist_hi:
@@ -127,10 +133,18 @@ class ExperimentConfig:
                 f"hist_bin_width must be positive and give at most {MAX_HIST_BINS} "
                 f"bins over [hist_lo, hist_hi], got {self.hist_bin_width}"
             )
-        try:
-            self.acquisition
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        for name in ("pair_rate", "integration_time"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.efficiency <= 1.0:
+            raise ConfigError(f"efficiency must be in (0, 1], got {self.efficiency}")
+        # A cell's Poisson mean is at most count_scale / 2; numpy's limit is about 9.2e18.
+        count_scale = self.acquisition.count_scale
+        if not count_scale <= 1e19:
+            raise ConfigError(
+                f"pair_rate * efficiency**2 * integration_time must be at most 1e19, "
+                f"got {count_scale:g}"
+            )
         return self
 
 
@@ -214,9 +228,7 @@ def build_channel(cfg: ExperimentConfig):
 def draw_alice_pair(cfg: ExperimentConfig, draw_index: int = 0):
     """Alice's two random bases (A, A') for one draw index: each is the
     analyzer's detector-1 state at random waveplate angles and its complement."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence((cfg.seed, _TAG_ALICE, int(draw_index)))
-    )
+    rng = stats.record_stream(cfg.seed, _TAG_ALICE, draw_index)
     state_a, state_ap = random_alice_state(rng), random_alice_state(rng)
     return chsh.alice_basis(state_a, "A"), chsh.alice_basis(state_ap, "A'")
 
@@ -284,10 +296,8 @@ def cmd_hom(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if not 2 <= args.points <= MAX_HOM_POINTS:
         raise ConfigError(f"--points must be in [2, {MAX_HOM_POINTS}], got {args.points}")
     _, _, projectors = build_channel(cfg)
-    setting = WaveplateSetting(
-        math.radians(args.alice_hwp_deg), math.radians(args.alice_qwp_deg)
-    )
-    alice = waveplate_projection(setting, args.alice_detector)
+    hwp, qwp = math.radians(args.alice_hwp_deg), math.radians(args.alice_qwp_deg)
+    alice = waveplate_projection(hwp, qwp, args.alice_detector)
     k = 2 * args.position + (args.bob_detector - 1)
     # Before run_dir: an undefined contrast writes nothing.
     contrast = pairsource.contrast(alice, projectors[k], cfg.visibility)

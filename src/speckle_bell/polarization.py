@@ -112,18 +112,6 @@ class Projector:
         return abs(self.amplitude) ** 2
 
 
-@dataclass(frozen=True)
-class WaveplateSetting:
-    """Fast-axis angles (radians, measured from H) of the analyzer plates."""
-
-    hwp_angle: float
-    qwp_angle: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "hwp_angle", wrap_angle(float(self.hwp_angle)))
-        object.__setattr__(self, "qwp_angle", wrap_angle(float(self.qwp_angle)))
-
-
 def amplitude_vector(state: PoincareState) -> AmplitudeVector:
     """Unit Jones vector (cos(theta/2), exp(i*phi) sin(theta/2))."""
     half = 0.5 * state.theta
@@ -160,15 +148,16 @@ def qwp_matrix(angle: float) -> np.ndarray:
     return r @ np.diag([1.0, -1.0j]) @ r.T
 
 
-def waveplate_projection(setting: WaveplateSetting, detector: int) -> PoincareState:
+def waveplate_projection(hwp_angle: float, qwp_angle: float, detector: int) -> PoincareState:
     """State projected onto by one splitter port of the waveplate analyzer.
 
-    ``detector`` 1 is the H output of the splitter, 2 the V output; the two
-    returned states are exactly orthogonal.
+    The plates' fast-axis angles are in radians from H, and are wrapped into
+    [0, 2*pi) first.  ``detector`` 1 is the H output of the splitter, 2 the V
+    output; the two returned states are exactly orthogonal.
     """
     if detector not in (1, 2):
         raise ValueError(f"detector must be 1 or 2, got {detector!r}")
-    jones = hwp_matrix(setting.hwp_angle) @ qwp_matrix(setting.qwp_angle)
+    jones = hwp_matrix(wrap_angle(hwp_angle)) @ qwp_matrix(wrap_angle(qwp_angle))
     det1 = AmplitudeVector(jones[0, 0], jones[1, 0]).to_poincare()
     if detector == 1:
         return det1
@@ -205,4 +194,4 @@ def random_alice_state(rng: np.random.Generator) -> PoincareState:
     """
     alpha = rng.uniform(0.0, TWO_PI)
     beta = rng.uniform(0.0, TWO_PI)
-    return waveplate_projection(WaveplateSetting(alpha, beta), 1)
+    return waveplate_projection(alpha, beta, 1)

@@ -34,33 +34,10 @@ from .polarization import Projector
 
 @dataclass(frozen=True)
 class AcquisitionConfig:
-    """Count-rate model: source pairs/s, seconds per setting, arm efficiency."""
+    """Count-rate model: expected counts per unit joint probability, and a seed."""
 
-    pair_rate: float = 500.0
-    integration_time: float = 240.0
-    efficiency: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.pair_rate > 0:
-            raise ValueError(f"pair_rate must be positive, got {self.pair_rate}")
-        if not self.integration_time > 0:
-            raise ValueError(
-                f"integration_time must be positive, got {self.integration_time}"
-            )
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        # A cell's Poisson mean is at most count_scale / 2; numpy's limit is about 9.2e18.
-        if not self.count_scale <= 1e19:
-            raise ValueError(
-                f"pair_rate * efficiency**2 * integration_time must be at most 1e19, "
-                f"got {self.count_scale:g}"
-            )
-
-    @property
-    def count_scale(self) -> float:
-        """Expected counts per unit joint probability (coincidence window)."""
-        return self.pair_rate * self.efficiency**2 * self.integration_time
+    count_scale: float
+    seed: int
 
 
 @dataclass(frozen=True)

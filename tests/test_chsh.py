@@ -381,7 +381,7 @@ def test_srecords_csv_independent_of_tile_height(tmp_path, monkeypatch):
     projectors = [Projector(0j, PoincareState(0.0, 0.0)),
                   Projector(0j, PoincareState(1.0, 2.0))] + random_projectors(rng, 6)
     enums = [enumerate_s(alice, projectors, 0.93),
-             noisy_enumerate(alice, projectors, 0.93, AcquisitionConfig(integration_time=0.5))]
+             noisy_enumerate(alice, projectors, 0.93, AcquisitionConfig(62.5, 0))]
     for enum in enums:
         assert enum.labels[0] == 2 and enum.labels.size == 27
         want = _untiled_srecords(enum)

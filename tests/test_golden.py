@@ -5,7 +5,11 @@ Unlike the reproducibility tests, which compare two runs of the same code,
 these pin the bytes across code changes.  Every digest depends on the
 channel matrix, whose QR factorization comes from the platform's LAPACK; a
 digest that differs on another machine is a finding to record, not a
-tolerance to add.
+tolerance to add.  The digests were taken under OpenBLAS's AVX-512
+``SkylakeX`` kernel: under ``OPENBLAS_CORETYPE=Haswell``, ``Zen`` or
+``Sandybridge`` the QR changes bits and ``chsh-noiseless``,
+``chsh-tiles-noiseless`` and ``tm`` fail, and pre-FMA kernels (``Sandybridge``,
+``Prescott``) also change Alice's 2x2 Jones product.
 """
 
 import hashlib

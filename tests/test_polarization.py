@@ -6,7 +6,6 @@ import pytest
 from speckle_bell.polarization import (
     AmplitudeVector,
     PoincareState,
-    WaveplateSetting,
     amplitude_vector,
     orthogonal_complement,
     overlap,
@@ -109,28 +108,35 @@ def test_canonical_zeroes_phi_at_poles():
 
 
 def test_waveplate_anchor_d_a():
-    setting = WaveplateSetting(math.radians(22.5), 0.0)
-    assert close(waveplate_projection(setting, 1), math.pi / 2, 0.0)
-    assert close(waveplate_projection(setting, 2), math.pi / 2, math.pi)
+    assert close(waveplate_projection(math.radians(22.5), 0.0, 1), math.pi / 2, 0.0)
+    assert close(waveplate_projection(math.radians(22.5), 0.0, 2), math.pi / 2, math.pi)
 
 
 def test_waveplate_identity_orientation():
-    setting = WaveplateSetting(0.0, 0.0)
-    assert close(waveplate_projection(setting, 1), 0.0, 0.0)
+    assert close(waveplate_projection(0.0, 0.0, 1), 0.0, 0.0)
 
 
 def test_waveplate_detectors_orthogonal():
     rng = np.random.default_rng(7)
     for _ in range(300):
-        setting = WaveplateSetting(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
-        d1 = waveplate_projection(setting, 1)
-        d2 = waveplate_projection(setting, 2)
+        hwp, qwp = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
+        d1 = waveplate_projection(hwp, qwp, 1)
+        d2 = waveplate_projection(hwp, qwp, 2)
         assert overlap(d1, d2) < 1e-24
+
+
+def test_waveplate_angles_are_wrapped_first():
+    rng = np.random.default_rng(9)
+    for hwp, qwp in rng.uniform(-20.0, 20.0, (50, 2)).tolist():
+        for detector in (1, 2):
+            assert waveplate_projection(hwp, qwp, detector) == waveplate_projection(
+                wrap_angle(hwp), wrap_angle(qwp), detector
+            )
 
 
 def test_waveplate_bad_detector():
     with pytest.raises(ValueError):
-        waveplate_projection(WaveplateSetting(0, 0), 3)
+        waveplate_projection(0, 0, 3)
 
 
 def test_vectorized_angles_match_scalar():
@@ -139,7 +145,7 @@ def test_vectorized_angles_match_scalar():
     be = rng.uniform(0, 2 * math.pi, 100)
     theta, phi = waveplate_detector1_angles(al, be)
     for k in range(100):
-        ref = waveplate_projection(WaveplateSetting(al[k], be[k]), 1)
+        ref = waveplate_projection(al[k], be[k], 1)
         assert overlap(ref, PoincareState(theta[k], phi[k])) > 1 - 1e-12
 
 

@@ -30,7 +30,7 @@ from speckle_bell.stats import (
     write_report_json,
 )
 
-CFG = AcquisitionConfig(pair_rate=500.0, integration_time=240.0, efficiency=0.5, seed=0)
+CFG = AcquisitionConfig(30000.0, 0)  # 500 pairs/s x 0.5**2 x 240 s
 
 
 def random_alice_pair(rng):
@@ -70,7 +70,7 @@ def test_sample_counts_deterministic():
 
 def test_sample_counts_concentration():
     # mean 1e6 stays within 5 sigma
-    cfg = AcquisitionConfig(pair_rate=1e6, integration_time=1.0, efficiency=1.0)
+    cfg = AcquisitionConfig(1e6, 0)
     rec = sample_counts((1.0, 1.0, 1.0, 1.0), cfg, record_stream(3, 0))
     for n in rec.counts:
         assert abs(n - 1e6) < 5_000
@@ -87,17 +87,6 @@ def test_poisson_moments():
     draws = stream.poisson(lam, 100_000)
     assert abs(draws.mean() - lam) / lam < 0.03
     assert abs(draws.var() - lam) / lam < 0.03
-
-
-def test_acquisition_config_validation():
-    with pytest.raises(ValueError):
-        AcquisitionConfig(pair_rate=0)
-    with pytest.raises(ValueError):
-        AcquisitionConfig(efficiency=1.5)
-    with pytest.raises(ValueError):
-        AcquisitionConfig(integration_time=-1)
-    with pytest.raises(ValueError, match="efficiency"):  # count scale above 1e19
-        AcquisitionConfig(pair_rate=float("inf"))
 
 
 def test_count_record_validation():
@@ -175,7 +164,7 @@ def test_noisy_enumerate_deterministic_and_converging():
     alice = random_alice_pair(rng)
     projectors = random_projectors(rng, 6)
     nu = 0.93
-    cfg = AcquisitionConfig(pair_rate=500.0, integration_time=240.0, efficiency=0.5, seed=21)
+    cfg = AcquisitionConfig(30000.0, 21)
     a = noisy_enumerate(alice, projectors, nu, cfg)
     b = noisy_enumerate(alice, projectors, nu, cfg)
     assert np.array_equal(a.labels, b.labels)
@@ -190,7 +179,7 @@ def test_noisy_enumerate_deterministic_and_converging():
         alice,
         projectors,
         nu,
-        AcquisitionConfig(pair_rate=500.0, integration_time=1e6, efficiency=0.5, seed=22),
+        AcquisitionConfig(1.25e8, 22),
     )
     assert np.array_equal(heavy.labels, exact.labels)
     heavy_s, heavy_sigma = grids(heavy)
@@ -201,7 +190,7 @@ def test_noisy_enumerate_deterministic_and_converging():
         alice,
         projectors,
         nu,
-        AcquisitionConfig(pair_rate=500.0, integration_time=240.0, efficiency=0.5, seed=22),
+        AcquisitionConfig(30000.0, 22),
     )
     assert heavy_sigma.max() < grids(light)[1].max()
 
@@ -213,7 +202,7 @@ def test_noisy_enumerate_matches_scalar_pipeline():
     alice = random_alice_pair(rng)
     projectors = random_projectors(rng, 5)
     nu = 0.8
-    cfg = AcquisitionConfig(seed=33)
+    cfg = AcquisitionConfig(30000.0, 33)
     enum = noisy_enumerate(alice, projectors, nu, cfg)
     rates = rate_matrix(alice, projectors, nu)
     idx_i, idx_j = np.triu_indices(5, 1)  # projector pair of each basis, in label order
@@ -342,7 +331,7 @@ def test_certify_arrays_reads_s_tiles(monkeypatch):
     heights that split D = 28 unevenly, noisy or not."""
     rng = np.random.default_rng(53)
     alice, projectors = random_alice_pair(rng), random_projectors(rng, 8)
-    cfg = AcquisitionConfig(seed=4)
+    cfg = AcquisitionConfig(30000.0, 4)
     for enum in (enumerate_s(alice, projectors, 1.0), noisy_enumerate(alice, projectors, 1.0, cfg)):
         s, sigma = grids(enum)
         want = certify(
