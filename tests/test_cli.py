@@ -82,16 +82,6 @@ def test_config_validation_names_field():
         ExperimentConfig(visibility=2.0).validate()
     with pytest.raises(ConfigError, match="n_positions"):
         ExperimentConfig(m_spatial=4, n_positions=10).validate()
-    # the count model's fields, checked last
-    for values, message in (
-        ({"efficiency": 0.0}, "efficiency must be in (0, 1], got 0.0"),
-        ({"efficiency": 1.5}, "efficiency must be in (0, 1], got 1.5"),
-        ({"pair_rate": 0}, "pair_rate must be positive, got 0"),
-        ({"integration_time": -1}, "integration_time must be positive, got -1"),
-    ):
-        with pytest.raises(ConfigError) as exc:
-            ExperimentConfig(**values).validate()
-        assert str(exc.value) == message
     # bin counts are checked from the config, before any histogram exists
     for width in (0.0, -0.05, 1e-9):
         with pytest.raises(ConfigError, match="hist_bin_width"):
@@ -112,14 +102,6 @@ def test_config_validation_names_field():
                          ("integration_time", nan), ("visibility", nan)):
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             ExperimentConfig(**{field: value}).validate()
-    # every cell's Poisson mean (at most count_scale / 2) must stay in numpy's range
-    for values in ({"integration_time": 1e300}, {"pair_rate": 1e18},
-                   {"pair_rate": 1e300, "integration_time": 1e300}):  # overflows to inf
-        with pytest.raises(ConfigError) as exc:
-            ExperimentConfig(**values).validate()
-        for field in ("pair_rate", "efficiency", "integration_time"):
-            assert field in str(exc.value)
-    ExperimentConfig(pair_rate=1e19, efficiency=1.0, integration_time=1.0).validate()
     ExperimentConfig(alice_draws=MAX_ALICE_DRAWS).validate()
 
 

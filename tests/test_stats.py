@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from speckle_bell import chsh
+from speckle_bell.cli import ConfigError, ExperimentConfig
 from speckle_bell.chsh import (
     SRecord,
     UndefinedCorrelationError,
@@ -87,6 +88,30 @@ def test_poisson_moments():
     draws = stream.poisson(lam, 100_000)
     assert abs(draws.mean() - lam) / lam < 0.03
     assert abs(draws.var() - lam) / lam < 0.03
+
+
+def test_acquisition_config_validation():
+    # the count model's fields are checked by ExperimentConfig.validate, last
+    for values, message in (
+        ({"efficiency": 0.0}, "efficiency must be in (0, 1], got 0.0"),
+        ({"efficiency": 1.5}, "efficiency must be in (0, 1], got 1.5"),
+        ({"pair_rate": 0}, "pair_rate must be positive, got 0"),
+        ({"integration_time": -1}, "integration_time must be positive, got -1"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**values).validate()
+        assert str(exc.value) == message
+    # every cell's Poisson mean (at most count_scale / 2) must stay in numpy's range
+    for values in ({"integration_time": 1e300}, {"pair_rate": 1e18},
+                   {"pair_rate": 1e300, "integration_time": 1e300}):  # overflows to inf
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**values).validate()
+        for field in ("pair_rate", "efficiency", "integration_time"):
+            assert field in str(exc.value)
+    ExperimentConfig(pair_rate=1e19, efficiency=1.0, integration_time=1.0).validate()
+    # the record the sampler reads: counts per unit joint probability
+    cfg = ExperimentConfig(pair_rate=500.0, integration_time=240.0, efficiency=0.5)
+    assert cfg.validate().acquisition.count_scale == CFG.count_scale
 
 
 def test_count_record_validation():
