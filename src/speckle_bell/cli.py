@@ -107,9 +107,12 @@ class ExperimentConfig:
             )
         if not 0.0 <= self.visibility <= 1.0:
             raise ConfigError(f"visibility must be in [0, 1], got {self.visibility}")
-        if not self.coherence_length > 0:
+        # hom scans delays over 2 * HOM_SPAN coherence lengths.
+        if not (self.coherence_length > 0
+                and math.isfinite(2 * pairsource.HOM_SPAN * self.coherence_length)):
             raise ConfigError(
-                f"coherence_length must be positive, got {self.coherence_length}"
+                "coherence_length must be positive and at most "
+                f"{sys.float_info.max / (2 * pairsource.HOM_SPAN)}, got {self.coherence_length}"
             )
         if self.alice_draws < 1:
             raise ConfigError(f"alice_draws must be >= 1, got {self.alice_draws}")

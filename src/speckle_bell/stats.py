@@ -1,5 +1,6 @@
 """Counting statistics: Poisson counts, per-basis E and variance for noisy
-enumerations, certification folded over S tiles, and histogramming.
+enumerations over one count array, certification folded over S tiles, and
+histogramming; :func:`e_with_sigma` and :func:`s_with_sigma` are their oracles.
 
 The detected-count error model follows standard shot-noise practice: each
 count n carries sigma = sqrt(n) and the variances of the four correlations in
@@ -26,6 +27,7 @@ from .chsh import (
     SRecord,
     UndefinedCorrelationError,
     basis_cells,
+    cell_correlations,
     rate_matrix,
     restrict_to_defined,
 )
@@ -38,19 +40,6 @@ class AcquisitionConfig:
 
     count_scale: float
     seed: int
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """Measured coincidence counts (n11, n12, n21, n22) for one basis pair."""
-
-    counts: tuple[int, int, int, int]
-
-    def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
-            raise ValueError(f"counts must be non-negative, got {counts}")
-        object.__setattr__(self, "counts", counts)
 
 
 @dataclass(frozen=True)
@@ -81,45 +70,44 @@ def sample_counts(
     expected_rates: Sequence[float],
     cfg: AcquisitionConfig,
     stream: np.random.Generator,
-) -> CountRecord:
-    """Poisson counts for the four joint rates of one basis pair."""
+) -> tuple[int, int, int, int]:
+    """Poisson counts (n11, n12, n21, n22) for the four joint rates of one basis pair."""
     rates = [float(r) for r in expected_rates]
     if len(rates) != 4:
         raise ValueError(f"expected 4 rates, got {len(rates)}")
     if any(r < 0 for r in rates):
         raise ValueError(f"rates must be non-negative, got {rates}")
     means = [r * cfg.count_scale for r in rates]
-    return CountRecord(tuple(int(c) for c in stream.poisson(means)))
+    return tuple(int(c) for c in stream.poisson(means))
 
 
-def e_with_sigma(record: CountRecord) -> tuple[float, float]:
-    """Correlation value from raw counts with first-order Poisson error.
+def e_with_sigma(counts: Sequence[int]) -> tuple[float, float]:
+    """Correlation value from the counts (n11, n12, n21, n22) of one basis pair,
+    with first-order Poisson error: the scalar oracle of :func:`noisy_enumerate`,
+    in float64 and in its arithmetic order.
 
     For the symmetric case (n, n, n, n) the propagated error reduces to
     1/(2 sqrt(n)).
     """
-    n11, n12, n21, n22 = record.counts
+    n11, n12, n21, n22 = map(float, counts)
     total = ((n11 + n12) + n21) + n22
     if total <= 0:
         raise UndefinedCorrelationError("all four counts are zero")
     num = ((n11 - n12) - n21) + n22
-    e = num / total
-    d_same = (total - num) / total**2  # partial for the + counts
-    d_cross = (total + num) / total**2  # |partial| for the - counts
-    var = d_same**2 * (n11 + n22) + d_cross**2 * (n12 + n21)
-    return e, math.sqrt(var)
+    d_same = (total - num) / (total * total)  # partial for the + counts
+    d_cross = (total + num) / (total * total)  # |partial| for the - counts
+    var = d_same * d_same * (n11 + n22) + d_cross * d_cross * (n12 + n21)
+    return num / total, math.sqrt(var)
 
 
-def s_with_sigma(records: Sequence[CountRecord]) -> SRecord:
-    """S and its propagated error from the four CountRecords of one quadruple.
+def s_with_sigma(counts: Sequence[Sequence[int]]) -> SRecord:
+    """S and its propagated error from the four count 4-tuples of one quadruple.
 
-    Record order is (A,B_K), (A',B_K), (A,B_K'), (A',B_K'); the last enters
+    Count order is (A,B_K), (A',B_K), (A,B_K'), (A',B_K'); the last enters
     with a minus sign.  The four correlations use disjoint counts and are
     treated as independent.
     """
-    if len(records) != 4:
-        raise ValueError(f"expected 4 count records, got {len(records)}")
-    (e1, g1), (e2, g2), (e3, g3), (e4, g4) = (e_with_sigma(r) for r in records)
+    (e1, g1), (e2, g2), (e3, g3), (e4, g4) = map(e_with_sigma, counts)
     s = abs(((e1 + e2) + e3) - e4)
     sigma = math.sqrt(((g1 * g1 + g2 * g2) + g3 * g3) + g4 * g4)
     return SRecord(s, sigma)
@@ -133,21 +121,25 @@ def noisy_enumerate(
 ) -> SEnumeration:
     """:func:`chsh.enumerate_s` from simulated counts: per-basis E and variance.
 
-    One CountRecord is drawn per (Alice basis, Bob basis) pair from the
-    stream (cfg.seed, alice index, basis index) and reused for every (K, K')
-    that holds the basis, mirroring how per-setting acquisitions are reused
-    when many S values are extracted from one data set.
+    The counts of each (Alice basis, Bob basis) pair are drawn from the stream
+    (cfg.seed, alice index, basis index) and reused for every (K, K') that
+    holds the basis, as per-setting acquisitions are when many S values come
+    from one data set.  E is :func:`chsh.cell_correlations` of the (2, 4, B)
+    count array, and the variance :func:`e_with_sigma`'s, cell by cell.
     """
-    cells = basis_cells(rate_matrix(alice_pair, bob_projectors, nu))
-    e = np.full((2, cells.shape[-1]), np.nan)
-    var = np.zeros_like(e)
-    for a_idx, a_cells in enumerate(cells):
-        for k, cell in enumerate(a_cells.T.tolist()):
-            rec = sample_counts(cell, cfg, record_stream(cfg.seed, a_idx, k))
-            if sum(rec.counts):  # all-zero counts leave E undefined (NaN)
-                e[a_idx, k], sigma = e_with_sigma(rec)
-                var[a_idx, k] = sigma * sigma
-    return restrict_to_defined(alice_pair, e, var)
+    means = basis_cells(rate_matrix(alice_pair, bob_projectors, nu)) * cfg.count_scale
+    counts = np.empty_like(means)  # float64: a basis total may exceed int64
+    for a_idx, k in np.ndindex(2, means.shape[-1]):
+        counts[a_idx, :, k] = record_stream(cfg.seed, a_idx, k).poisson(means[a_idx, :, k])
+    n11, n12, n21, n22 = counts.transpose(1, 0, 2)
+    total = ((n11 + n12) + n21) + n22
+    num = ((n11 - n12) - n21) + n22
+    with np.errstate(divide="ignore", invalid="ignore"):  # all-zero cells: E is NaN
+        d_same = (total - num) / (total * total)
+        d_cross = (total + num) / (total * total)
+    var = d_same * d_same * (n11 + n22) + d_cross * d_cross * (n12 + n21)
+    # Callers square the oracle's sigma = sqrt(var), and sqrt(var)**2 may differ from var.
+    return restrict_to_defined(alice_pair, cell_correlations(counts), np.sqrt(var) ** 2)
 
 
 def certify(records: Sequence[SRecord], skipped: int = 0) -> CertificationReport:

@@ -209,7 +209,7 @@ def test_criterion_7_uncertainty_propagation():
     anchor_ok = True
     detail = []
     for n in (100, 1000, 10_000):
-        rec = stats.s_with_sigma([stats.CountRecord((n, n, n, n))] * 4)
+        rec = stats.s_with_sigma([(n, n, n, n)] * 4)
         anchor_ok &= abs(rec.sigma - 1 / math.sqrt(n)) < 1e-12
         counts = rng.poisson(n, size=(10_000, 4, 4))
         totals = counts.sum(axis=2)

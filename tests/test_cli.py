@@ -356,6 +356,9 @@ _UNRUNNABLE_CONFIGS = {
     "chsh-huge-integration": ("chsh", "integration_time = 1e300", "integration_time"),
     "chsh-inf-pair-rate": ("chsh", "pair_rate = inf", "pair_rate"),
     "hom-inf-coherence": ("hom", "coherence_length = inf", "coherence_length"),
+    # 10 coherence lengths overflow np.linspace's span, and the curve would be all NaN
+    "hom-huge-coherence": ("hom", "coherence_length = 1e308", "coherence_length"),
+    "hom-span-overflow": ("hom", "coherence_length = 3.6e307", "coherence_length"),
 }
 
 

@@ -1,11 +1,18 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from speckle_bell import chsh
-from speckle_bell.cli import ConfigError, ExperimentConfig
+from speckle_bell.cli import (
+    ConfigError,
+    ExperimentConfig,
+    build_channel,
+    chsh_enumeration,
+    draw_alice_pair,
+)
 from speckle_bell.chsh import (
     SRecord,
     UndefinedCorrelationError,
@@ -18,7 +25,6 @@ from speckle_bell.polarization import PoincareState, Projector
 from speckle_bell.stats import (
     AcquisitionConfig,
     CertificationReport,
-    CountRecord,
     certify,
     certify_arrays,
     e_with_sigma,
@@ -59,21 +65,23 @@ def random_projectors(rng, n):
 # ------------------------------------------------------------------ sampling
 
 def test_sample_counts_zero_rate():
-    rec = sample_counts((0.0, 0.0, 0.0, 0.0), CFG, record_stream(0, 0))
-    assert rec.counts == (0, 0, 0, 0)
+    counts = sample_counts((0.0, 0.0, 0.0, 0.0), CFG, record_stream(0, 0))
+    assert counts == (0, 0, 0, 0) and all(type(n) is int for n in counts)
 
 
 def test_sample_counts_deterministic():
     a = sample_counts((0.1, 0.2, 0.3, 0.4), CFG, record_stream(7, 1, 2))
     b = sample_counts((0.1, 0.2, 0.3, 0.4), CFG, record_stream(7, 1, 2))
-    assert a == b
+    means = [r * CFG.count_scale for r in (0.1, 0.2, 0.3, 0.4)]
+    assert a == b == tuple(record_stream(7, 1, 2).poisson(means).tolist())
 
 
 def test_sample_counts_concentration():
     # mean 1e6 stays within 5 sigma
     cfg = AcquisitionConfig(1e6, 0)
-    rec = sample_counts((1.0, 1.0, 1.0, 1.0), cfg, record_stream(3, 0))
-    for n in rec.counts:
+    counts = sample_counts((1.0, 1.0, 1.0, 1.0), cfg, record_stream(3, 0))
+    assert len(counts) == 4
+    for n in counts:
         assert abs(n - 1e6) < 5_000
 
 
@@ -114,41 +122,36 @@ def test_acquisition_config_validation():
     assert cfg.validate().acquisition.count_scale == CFG.count_scale
 
 
-def test_count_record_validation():
-    with pytest.raises(ValueError):
-        CountRecord((1, 2, -1, 0))
-
-
 # --------------------------------------------------------------- propagation
 
 def test_e_symmetric_counts():
     for n in (100, 1000):
-        e, sigma = e_with_sigma(CountRecord((n, n, n, n)))
+        e, sigma = e_with_sigma((n, n, n, n))
         assert e == 0.0
         assert abs(sigma - 1 / (2 * math.sqrt(n))) < 1e-15
 
 
 def test_e_boundary_counts():
-    e, sigma = e_with_sigma(CountRecord((500, 0, 0, 500)))
+    e, sigma = e_with_sigma((500, 0, 0, 500))
     assert e == 1.0
     assert sigma == 0.0  # sqrt(n) rule: zero cells carry zero error
 
 
 def test_e_sigma_value():
-    _, sigma = e_with_sigma(CountRecord((100, 100, 100, 100)))
+    _, sigma = e_with_sigma((100, 100, 100, 100))
     assert sigma == pytest.approx(0.05, abs=1e-15)
 
 
 def test_e_rejects_all_zero():
     with pytest.raises(UndefinedCorrelationError):
-        e_with_sigma(CountRecord((0, 0, 0, 0)))
+        e_with_sigma((0, 0, 0, 0))
 
 
 def test_e_sigma_matches_monte_carlo():
     # propagated error against resampled standard deviation of e
     rng = np.random.default_rng(44)
     for n in (100, 1000, 10_000):
-        _, sigma = e_with_sigma(CountRecord((n, n, n, n)))
+        _, sigma = e_with_sigma((n, n, n, n))
         counts = rng.poisson(n, size=(10_000, 4))
         counts = counts[counts.sum(axis=1) > 0]
         e = (counts[:, 0] - counts[:, 1] - counts[:, 2] + counts[:, 3]) / counts.sum(axis=1)
@@ -156,7 +159,7 @@ def test_e_sigma_matches_monte_carlo():
 
 
 def test_s_with_sigma_symmetric():
-    recs = [CountRecord((100, 100, 100, 100))] * 4
+    recs = [(100, 100, 100, 100)] * 4
     rec = s_with_sigma(recs)
     assert rec.s == 0.0
     assert rec.sigma == pytest.approx(0.1, abs=1e-15)
@@ -164,14 +167,14 @@ def test_s_with_sigma_symmetric():
 
 def test_s_with_sigma_anchor():
     for n in (100, 1000, 10_000):
-        rec = s_with_sigma([CountRecord((n, n, n, n))] * 4)
+        rec = s_with_sigma([(n, n, n, n)] * 4)
         assert abs(rec.sigma - 1 / math.sqrt(n)) < 1e-12
 
 
 def test_s_with_sigma_representable_scale():
     # values like S = 2.21 +/- 0.02 must be reachable with realistic counts
-    plus = CountRecord((2429, 700, 700, 2429))   # e = +0.5526
-    minus = CountRecord((700, 2429, 2429, 700))  # e = -0.5526
+    plus = (2429, 700, 700, 2429)   # e = +0.5526
+    minus = (700, 2429, 2429, 700)  # e = -0.5526
     rec = s_with_sigma([plus, plus, plus, minus])
     assert rec.s == pytest.approx(2.21, abs=0.01)
     assert rec.sigma == pytest.approx(0.021, abs=0.005)
@@ -179,7 +182,7 @@ def test_s_with_sigma_representable_scale():
 
 def test_s_with_sigma_needs_four():
     with pytest.raises(ValueError):
-        s_with_sigma([CountRecord((1, 1, 1, 1))] * 3)
+        s_with_sigma([(1, 1, 1, 1)] * 3)
 
 
 # --------------------------------------------------------------- noisy runs
@@ -221,8 +224,9 @@ def test_noisy_enumerate_deterministic_and_converging():
 
 
 def test_noisy_enumerate_matches_scalar_pipeline():
-    # the grid must reproduce sample_counts -> e_with_sigma -> s_with_sigma
-    # exactly, including the per-record stream indexing
+    # per-basis E and variance must reproduce sample_counts -> e_with_sigma
+    # exactly, including the per-record stream indexing, and S and sigma
+    # s_with_sigma
     rng = np.random.default_rng(50)
     alice = random_alice_pair(rng)
     projectors = random_projectors(rng, 5)
@@ -232,7 +236,7 @@ def test_noisy_enumerate_matches_scalar_pipeline():
     rates = rate_matrix(alice, projectors, nu)
     idx_i, idx_j = np.triu_indices(5, 1)  # projector pair of each basis, in label order
 
-    def count_record(a_idx, k):
+    def counts(a_idx, k):
         i, j = int(idx_i[k]), int(idx_j[k])
         row1, row2 = (0, 1) if a_idx == 0 else (2, 3)
         return sample_counts(
@@ -241,15 +245,51 @@ def test_noisy_enumerate_matches_scalar_pipeline():
             record_stream(cfg.seed, a_idx, k),
         )
 
+    assert enum.labels.tolist() == list(range(1, 11))  # no dark basis at 30000 counts
+    for col, k in enumerate(enum.labels - 1):
+        for a_idx in (0, 1):
+            e, sigma = e_with_sigma(counts(a_idx, k))
+            assert enum.e[a_idx, col] == e and enum.var[a_idx, col] == sigma * sigma
+
     n = enum.labels.size
     s, sigma = grids(enum)
     for row in range(0, n * n, 7):
         k, kp = enum.labels[row // n] - 1, enum.labels[row % n] - 1
-        ref = s_with_sigma(
-            [count_record(0, k), count_record(1, k), count_record(0, kp), count_record(1, kp)]
-        )
+        ref = s_with_sigma([counts(0, k), counts(1, k), counts(0, kp), counts(1, kp)])
         assert s.flat[row] == ref.s
         assert sigma.flat[row] == ref.sigma
+
+
+def test_noisy_enumerate_at_the_count_bound():
+    # count_scale 1e19: a basis total exceeds int64, so the counts are summed
+    # in float64 and E stays defined, as e_with_sigma's
+    for seed in (3, 4, 5):
+        cfg = ExperimentConfig(m_spatial=1, n_positions=1, pair_rate=1e19, efficiency=1.0,
+                               integration_time=1.0, seed=seed).validate()
+        enum = chsh_enumeration(cfg)
+        assert enum.labels.tolist() == [1] and enum.skipped == 0
+        projectors = build_channel(cfg)[2]
+        cells = chsh.basis_cells(rate_matrix(draw_alice_pair(cfg), projectors, cfg.visibility))
+        for a_idx in (0, 1):
+            stream = record_stream(cfg.acquisition.seed, a_idx, 0)
+            e, sigma = e_with_sigma(sample_counts(cells[a_idx, :, 0], cfg.acquisition, stream))
+            assert enum.e[a_idx, 0] == e and enum.var[a_idx, 0] == sigma * sigma
+
+
+def test_e_with_sigma_variance_is_near_exact():
+    # var = 4ab/T^3 with a = n11 + n22, b = n12 + n21, T = a + b; above
+    # T = 9.5e7, T*T is inexact in float64, but sigma*sigma stays within 8 ulp
+    rng = np.random.default_rng(51)
+    scales = 10.0 ** rng.uniform(0, 12, 3000)
+    draws = np.floor(rng.uniform(0, 1, (3000, 4)) * scales[:, None]).astype(np.int64)
+    assert np.count_nonzero(draws.sum(1) > 9.5e7) > 1000
+    for n11, n12, n21, n22 in draws.tolist():
+        a, b = n11 + n22, n12 + n21
+        if a + b == 0:
+            continue
+        exact = Fraction(4 * a * b, (a + b) ** 3)
+        _, sigma = e_with_sigma((n11, n12, n21, n22))
+        assert abs(Fraction(sigma * sigma) - exact) <= 8 * Fraction(math.ulp(float(exact)))
 
 
 def test_noisy_records_within_sanity_bound():
