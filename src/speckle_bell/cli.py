@@ -3,7 +3,8 @@
 Every subcommand is a pure function of (config file, flags, seed): rerunning
 with the same inputs produces byte-identical files.  ``tm.txt`` is the one
 exception across machines: the full channel matrix's QR, and so its bytes,
-can depend on the BLAS thread count.  Outputs land in ``<out>/run_<seed>/``.
+can depend on the BLAS library, CPU kernel and thread count; no other
+subcommand calls BLAS.  Outputs land in ``<out>/run_<seed>/``.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ MAX_HIST_BINS = 10**6
 
 # Only ``tm`` builds the full (2M)x(2M) complex channel matrix, with a peak
 # RSS of about 5.5x the matrix (350 MB measured at M = 1000); this bound
-# (m_spatial <= 2896) keeps that below about 3 GiB.  Every other subcommand
-# still draws the matrix's (2M)^2 Gaussian stream (1.2 s at M = 2896), so
-# the bound applies to all of them.
+# (m_spatial <= 2896) keeps that below about 3 GiB.  The other subcommands
+# sample only the lit mode's (2M, 2) block, but one bound for all of them
+# keeps every seed's channel one that ``tm`` can dump.
 MAX_TM_BYTES = 2**29
 
 # S records (srecords.csv rows, about 42 bytes each) per Alice draw: B^2 for

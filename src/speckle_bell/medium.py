@@ -2,9 +2,10 @@
 
 The channel is a Haar-random unitary over the joint (spatial x polarization)
 mode space, the lossless idealization of a strongly mixing multimode fiber.
-Light enters through input mode 0 alone, so every consumer reads only that
-mode's (2M, 2) block, columns 0 and 1 (input H, V).  Each output spatial mode,
-observed behind an H or V analyzer, realizes an effective polarization
+Light enters through input mode 0 alone, so every consumer but the matrix
+dump reads only that mode's (2M, 2) block, columns 0 and 1 (input H, V),
+sampled in O(M); the full matrix is its QR completion.  Each output spatial
+mode, observed behind an H or V analyzer, realizes an effective polarization
 projector on it, whose parameters follow directly from the block's row.
 """
 
@@ -51,61 +52,64 @@ class TransmissionMatrix:
         return float(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(n))))
 
 
-# Gaussian samples are drawn in row chunks of at most 2^17 floats.
-_CHUNK_FLOATS = 1 << 17
-
-
-def _haar_leading(m_spatial: int, seed: int, r: int) -> np.ndarray:
-    """Leading ``r`` columns of the Haar unitary of ``random_tm(m_spatial, seed)``.
-
-    The (2M)x(2M) Gaussian stream is drawn in row chunks, real parts then
-    imaginary parts, as one ``standard_normal((2M, 2M))`` call each would
-    draw it, and only its leading ``r`` columns are kept.  Their QR with the
-    R-diagonal phase fix gives the unitary's leading ``r`` columns, which by
-    Haar invariance have the Haar column law (Mezzadri 2007).
-    """
+def _haar_block(m_spatial: int, rng: np.random.Generator) -> np.ndarray:
+    """Two Haar-distributed orthonormal columns in C^(2M), as a (2M, 2) array:
+    Gram-Schmidt of a complex-Gaussian block, which is its QR with R's diagonal
+    real positive (Mezzadri 2007, arXiv:math-ph/0609050).  Only elementwise
+    float64 arithmetic and ``np.sum`` are used, so the bits do not depend on
+    the BLAS library, its CPU kernel or its thread count."""
     if m_spatial < 1:
         raise ValueError(f"m_spatial must be >= 1, got {m_spatial}")
-    n = 2 * m_spatial
-    rng = np.random.default_rng(seed)
-    rows = max(1, _CHUNK_FLOATS // n)
-    parts = np.empty((2, n, r))
-    for part in parts:
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            part[start:stop] = rng.standard_normal((stop - start, n))[:, :r]
-    z = (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
-    del parts  # as large as the matrix at r = 2M; freed before the QR
-    q, rr = np.linalg.qr(z)
-    d = np.diagonal(rr)
-    return q * (d / np.abs(d))
+    gauss = rng.standard_normal((2, 2 * m_spatial, 2)) / math.sqrt(2.0)
+    (x1, x2), (y1, y2) = gauss.transpose(0, 2, 1)  # z_j = x_j + i y_j
+    norm = math.sqrt(np.sum(x1 * x1 + y1 * y1))
+    x1, y1 = x1 / norm, y1 / norm
+    # v = z2 - (q1^H z2) q1
+    c_re, c_im = np.sum(x1 * x2 + y1 * y2), np.sum(x1 * y2 - y1 * x2)
+    x2, y2 = x2 - (c_re * x1 - c_im * y1), y2 - (c_re * y1 + c_im * x1)
+    norm = math.sqrt(np.sum(x2 * x2 + y2 * y2))
+    return np.stack([x1, y1, x2 / norm, y2 / norm], axis=1).view(complex)
 
 
 def random_tm(m_spatial: int, seed: int) -> TransmissionMatrix:
     """Haar-distributed (2M)x(2M) unitary, deterministic in ``seed``.
 
-    Sampled by QR decomposition of an i.i.d. complex-Gaussian matrix with
-    the R-diagonal phase correction, which makes the factorization unique
-    and the distribution exactly Haar.
+    Columns 0 and 1 are :func:`_haar_block` of the seed's generator, bit for
+    bit; the others come from the QR, with the R-diagonal phase fix, of
+    ``[block | G]`` for a (2M)x(2M-2) complex Gaussian ``G`` drawn next:
+    Gram-Schmidt of Gaussians on the block's complement, so the matrix is Haar.
     """
-    entries = _haar_leading(m_spatial, seed, 2 * m_spatial)
-    return TransmissionMatrix(m_spatial, entries, int(seed))
+    rng = np.random.default_rng(seed)
+    block = _haar_block(m_spatial, rng)
+    n = 2 * m_spatial
+    # G's real parts are drawn first; its scale does not change Q.  Freeing g
+    # before the QR and scaling q out of place keep tm's peak RSS at the old
+    # full-stream sampler's (in place, glibc's heap held about 3 MB more).
+    g = rng.standard_normal((2, n, n - 2))
+    z = np.empty((n, n), dtype=complex)
+    z[:, :2] = block
+    z[:, 2:] = g[0] + 1j * g[1]
+    del g
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d))
+    q[:, :2] = block
+    return TransmissionMatrix(m_spatial, q, int(seed))
 
 
 @dataclass(frozen=True)
 class HaarChannel:
     """The seeded channel of :func:`random_tm`, sampled only where it is read:
-    :meth:`columns` gives the lit input mode's block, and the full ``entries``
-    are drawn on first access."""
+    :meth:`columns` gives the lit input mode's block in O(M), and the full
+    ``entries`` (its QR completion) are built on first access."""
 
     m_spatial: int
     seed: int
 
     def columns(self) -> np.ndarray:
         """The lit input mode's read-only (2M, 2) block, columns 0 and 1 of
-        ``entries``, from the QR of only the leading two Gaussian columns:
-        O(M) memory instead of O(M^2)."""
-        block = _haar_leading(self.m_spatial, self.seed, 2)
+        ``entries`` bit for bit, without building the other columns."""
+        block = _haar_block(self.m_spatial, np.random.default_rng(self.seed))
         block.setflags(write=False)
         return block
 

@@ -131,23 +131,6 @@ def orthogonal_complement(state: PoincareState) -> PoincareState:
     return PoincareState(math.pi - state.theta, state.phi + math.pi)
 
 
-def _rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-def hwp_matrix(angle: float) -> np.ndarray:
-    """Jones matrix of a half-wave plate with fast axis at ``angle``."""
-    c, s = math.cos(2.0 * angle), math.sin(2.0 * angle)
-    return np.array([[c, s], [s, -c]], dtype=complex)
-
-
-def qwp_matrix(angle: float) -> np.ndarray:
-    """Jones matrix of a quarter-wave plate with fast axis at ``angle``."""
-    r = _rotation(angle)
-    return r @ np.diag([1.0, -1.0j]) @ r.T
-
-
 def waveplate_projection(hwp_angle: float, qwp_angle: float, detector: int) -> PoincareState:
     """State projected onto by one splitter port of the waveplate analyzer.
 
@@ -157,11 +140,9 @@ def waveplate_projection(hwp_angle: float, qwp_angle: float, detector: int) -> P
     """
     if detector not in (1, 2):
         raise ValueError(f"detector must be 1 or 2, got {detector!r}")
-    jones = hwp_matrix(wrap_angle(hwp_angle)) @ qwp_matrix(wrap_angle(qwp_angle))
-    det1 = AmplitudeVector(jones[0, 0], jones[1, 0]).to_poincare()
-    if detector == 1:
-        return det1
-    return orthogonal_complement(det1)
+    angles = waveplate_detector1_angles(wrap_angle(hwp_angle), wrap_angle(qwp_angle))
+    det1 = PoincareState(*angles)
+    return det1 if detector == 1 else orthogonal_complement(det1)
 
 
 def waveplate_detector1_angles(
@@ -169,8 +150,8 @@ def waveplate_detector1_angles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (theta, phi) of the detector-1 state for angle arrays.
 
-    Closed form of ``HWP(alpha) QWP(beta) |H>``; matches
-    :func:`waveplate_projection` with ``detector=1``.
+    Closed form of the Jones product ``HWP(alpha) QWP(beta) |H>``, elementwise,
+    with no matrix product; :func:`waveplate_projection` evaluates it.
     """
     al = np.asarray(hwp_angles, dtype=float)
     be = np.asarray(qwp_angles, dtype=float)

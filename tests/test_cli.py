@@ -449,27 +449,32 @@ def test_tm_dump_round_trip(tmp_path, small_config):
 def test_column_subcommands_never_build_the_full_channel(tmp_path, monkeypatch):
     from speckle_bell import medium
 
-    # Every subcommand but tm samples the input mode's two columns exactly
-    # once; tm samples only the full matrix, 2M = 24 columns.
-    columns = []
-    leading = medium._haar_leading
+    # Every subcommand samples the input mode's block exactly once; only tm,
+    # through random_tm, completes it to the full matrix with a QR.
+    blocks = []
+    haar_block = medium._haar_block
 
-    def counted(m_spatial, seed, r):
-        columns.append(r)
-        return leading(m_spatial, seed, r)
+    def counted(m_spatial, rng):
+        blocks.append(m_spatial)
+        return haar_block(m_spatial, rng)
 
-    monkeypatch.setattr(medium, "_haar_leading", counted)
+    def no_qr(*args, **kwargs):
+        raise AssertionError("full channel matrix built")
+
+    monkeypatch.setattr(medium, "_haar_block", counted)
     config = tmp_path / "m12.cfg"
     config.write_text("m_spatial = 12\nn_positions = 4\n")
     common = ["--config", str(config), "--seed", "1"]
-    for argv in (["chsh"], ["chsh", "--noiseless"], ["sweep", "--alice-draws", "2"],
-                 ["hom", "--position", "3"], ["speckle"]):
-        columns.clear()
-        assert main([*argv, *common, "--out", str(tmp_path / "out")]) == 0
-        assert columns == [2], argv
-    columns.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "qr", no_qr)
+        for argv in (["chsh"], ["chsh", "--noiseless"], ["sweep", "--alice-draws", "2"],
+                     ["hom", "--position", "3"], ["speckle"]):
+            blocks.clear()
+            assert main([*argv, *common, "--out", str(tmp_path / "out")]) == 0
+            assert blocks == [12], argv
+    blocks.clear()
     assert main(["tm", *common, "--out", str(tmp_path / "tm")]) == 0
-    assert columns == [24]
+    assert blocks == [12]
 
 
 def test_bad_config_path(tmp_path, capsys):

@@ -2,14 +2,14 @@
 under a small fixed config and seed.
 
 Unlike the reproducibility tests, which compare two runs of the same code,
-these pin the bytes across code changes.  Every digest depends on the
-channel matrix, whose QR factorization comes from the platform's LAPACK; a
+these pin the bytes across code changes.  Every digest depends on the lit
+input mode's channel block and Alice's analyzer states, which use no BLAS, so
+every case but ``tm`` gives the same digests under OpenBLAS's ``SkylakeX``,
+``Haswell``, ``Sandybridge`` and ``Prescott`` kernels (``OPENBLAS_CORETYPE``).
+``tm.txt`` also holds the block's QR completion from the platform's LAPACK:
+its digest was taken under ``SkylakeX`` and fails under the other three.  A
 digest that differs on another machine is a finding to record, not a
-tolerance to add.  The digests were taken under OpenBLAS's AVX-512
-``SkylakeX`` kernel: under ``OPENBLAS_CORETYPE=Haswell``, ``Zen`` or
-``Sandybridge`` the QR changes bits and ``chsh-noiseless``,
-``chsh-tiles-noiseless`` and ``tm`` fail, and pre-FMA kernels (``Sandybridge``,
-``Prescott``) also change Alice's 2x2 Jones product.
+tolerance to add.
 """
 
 import hashlib
@@ -62,34 +62,34 @@ CASES = {
 SEED = "1"
 
 GOLDEN = {
-    "chsh-noiseless/histogram.csv": "0a5eb4a386325763123e7e47df2e3a6fa9abb4e6f870874e99363bd6a16f6638",
-    "chsh-noiseless/report.json": "2b60515ec79161cdb02afeb034400b6194b330a62290e850c8a371a20a186a10",
-    "chsh-noiseless/srecords.csv": "dd264ba2ad3bdf3ca432923785f37a3ef2705b8e27b99075923ef915fa6c64f4",
-    "chsh-noisy/histogram.csv": "f5ef00122e7b96836da5e3637a2f3b5b79744c97529e62d27430f7afb53821d2",
-    "chsh-noisy/report.json": "00c900d0041c879c67033e09c5ad4a5bab0bc492fc83e10fcabb879defdde710",
-    "chsh-noisy/srecords.csv": "8c4c65d664f797633692d2d02673ee7144cec86df474ce84cd4204caa8abbb9a",
-    "chsh-separable-low-count/histogram.csv": "2fec7e56bbe6a1d2e9e55be7e8814232765eb6bc3920d4527de1d0a11b69a9af",
-    "chsh-separable-low-count/report.json": "9083125e01843e6afd4eb88c4bfbc3946f0742b574bdac6cced698116583625d",
-    "chsh-separable-low-count/srecords.csv": "dcd73fa5248fce0880bc421698bcd3132bfaab0887fbf820579d3c728af513f3",
-    "chsh-tiles/histogram.csv": "5aa64b1a55e6dc6ddf4c2aa7b5e26c681dc9767c7c895ceb36b39f032da4ac02",
-    "chsh-tiles/report.json": "c30e0b28526553e95ea094d13b3e6587b892c164014d206e77c548edb4500e11",
-    "chsh-tiles/srecords.csv": "6ea3f07880253c3be2a4332a3f58f19ce5fd5edde9097668587e11b167428e71",
-    "chsh-tiles-noiseless/histogram.csv": "a5119118b17ca241b75953e9e499f8893c5d1a06a30e24cd5dbc57d4469d2b36",
-    "chsh-tiles-noiseless/report.json": "a485985e97dd548527bf6fded9d2997d3ae03d7cfea5ccb54497b4a756a517ee",
-    "chsh-tiles-noiseless/srecords.csv": "29b987b5bfec39c304999451bc06ed4238cb44af519759b5f6c2e945aa3590e4",
-    "hom/hom_5.csv": "de124ce1cd598c1c99b552589dcfd1a9471a04d1f8c7f5d123e1024797329c14",
-    "hom-wide/hom_0.csv": "80b253d474f0aa145b856c4ef7c576aba2074e170e87ab814645f9b5a0c6a5dd",
-    "speckle/speckle.csv": "5a50f3e57ffa1d5abf3f4b5aeef84c0b7d857f9cd2ff041fd1335b358e755b19",
-    "speckle-D/speckle.csv": "a3c60f1cf36cb6517aaedd1103dd9e0b05d0d42d79a7e60d27e98aa1ad193bf3",
-    "sweep/sweep_hist_nu_0.93.csv": "b22b38cd622026a0d5a52f9a39521e577ac4f69212a17b1c43efe631007db107",
-    "sweep/sweep_hist_nu_0.csv": "61c202a67e9e185532ea3ca61102295d78e707d1d6aeedc9e76430cd17cef143",
-    "sweep/sweep_hist_nu_1.csv": "e887db6669e9d19ed7e0a5d4d3be943ac2b537d70f98632f86f7d49184f470d9",
-    "sweep/sweep_summary.csv": "57211cb49f446226838a272400b91871fa33eb8d255204940173302721f6b80f",
-    "sweep-tiles/sweep_hist_nu_0.93.csv": "0b984ebb36a6572903fa44e7a256dc64037fc9384ab68107a0d5847828159257",
-    "sweep-tiles/sweep_hist_nu_0.csv": "81da43fd7d7a6a256a64b1dc7be09e779871ee6cf00ee1c05a3d3403b34f789d",
-    "sweep-tiles/sweep_hist_nu_1.csv": "f7045117e9f33d7af58484633fc7261e81f2c7df4aaeaf84eee20671a71efc3e",
-    "sweep-tiles/sweep_summary.csv": "16eb2c41e10bc8d336a4cfe6ecd69cab4cf366da94e787ffd344670c36a62b57",
-    "tm/tm.txt": "a98d67e0f54f324097df1cb7dda0be2c71e0e06264a4c05ca71a4d9dfec3b26f",
+    "chsh-noiseless/histogram.csv": "4c22ebdd30dcccb26b5910121d0656878e8da152b4ab1da503b4e469c3da5fa2",
+    "chsh-noiseless/report.json": "08fe534fec094ca6a90db460ba68a62d862c9bf25e1d0d665cc9a30469b96edf",
+    "chsh-noiseless/srecords.csv": "25dc79ebbb8e3bfa232bf2b1ec20a02bdb6a6bcca4badc651f1ec5cdc8cea70e",
+    "chsh-noisy/histogram.csv": "41c7c12b5e24632b82ce6c59edbc15e6553b341d8199c334fbc51f20eabc388d",
+    "chsh-noisy/report.json": "77a73b7711a58bc66bbf76f1f1c0854ca1c9c9aa58c14fec00469db86a559a1f",
+    "chsh-noisy/srecords.csv": "3d6f5de6b7d7f93d2da6d9ea9a625de7100bcfe7ea926f2d9fe956134da81945",
+    "chsh-separable-low-count/histogram.csv": "1a17f4c6ed80475f029a03a4fa1f38a97d1316a230ac49fb547b2d3713c779a3",
+    "chsh-separable-low-count/report.json": "071ac1c6366f4e0d03f4af97936fa469fbd967395af1b98dbbe63ffffce881c5",
+    "chsh-separable-low-count/srecords.csv": "8e0ad3f369796e5c417eff1a9e222c888968bd29ffa6bf869f0dace25824021c",
+    "chsh-tiles-noiseless/histogram.csv": "54d1078c024cf81af47656d1e78f5380b621942647f7c651c480830e8801f1d9",
+    "chsh-tiles-noiseless/report.json": "93e240650f80af845f42c478f56e773f19000b32102d16c4eb031d136f07ee5e",
+    "chsh-tiles-noiseless/srecords.csv": "3e85a40a1d2fbcb6f70d92669d5aa57bad9c45c66ba71b4a230c47228331ce22",
+    "chsh-tiles/histogram.csv": "c7f6b9aace20a7ee0496a9f54d3e7cab30e85ff1fd3c85d7b1d209be5be46c8f",
+    "chsh-tiles/report.json": "7b614b0fe570742d69a962dbf7abeed0c0d95b0fb7d858acbde64bd4fcf1e1bc",
+    "chsh-tiles/srecords.csv": "428944715d049838967173e4a8f17072a9f924026c1ea0f71240826f236410d7",
+    "hom-wide/hom_0.csv": "d70effd5dcd4e23201a52ab8b9d928a21f17f3b19abd0397d3c1c8751bec67dd",
+    "hom/hom_5.csv": "c3b10e74bc7db4a891f9af030841ddd5ce8971d8efa257e30f3b7e33badcfeab",
+    "speckle-D/speckle.csv": "62eeff4fb3cc2d2ab403425c267db073b8cb50393bfd1e603b72af5bff3ee1ba",
+    "speckle/speckle.csv": "d46fda6b7281dae5744cd2f6e3d84ae19e2aae39405f4fa390e26fcf69707975",
+    "sweep-tiles/sweep_hist_nu_0.93.csv": "70b86e498ff0e6702302dd625bec09656e05669fc52c1227f7e5a0a94e30f7e9",
+    "sweep-tiles/sweep_hist_nu_0.csv": "e0b1f788385b3bfb2e68e4ea4ee9e6b1dd24bb6309d827c3689c0e5b9da355f3",
+    "sweep-tiles/sweep_hist_nu_1.csv": "c20cf36b62cf492424393f6a5f42c186813f31620d80559c33e9831cc3ea4832",
+    "sweep-tiles/sweep_summary.csv": "af7a77382f2feb287805c2ad7d793a9a99ab5f84ca97a8cd1a2c509f67804eaa",
+    "sweep/sweep_hist_nu_0.93.csv": "8bf2384a0c5cd441d626e87f006392eaf0f322a3c0add1171fe4943231a370f4",
+    "sweep/sweep_hist_nu_0.csv": "ce81e3184a02b521aec04348ddbb802b5402b45a7162c4346648327a521aed92",
+    "sweep/sweep_hist_nu_1.csv": "f7fcc4622d3b2f0c183e1e5d5f6a9cc93a2ed75d424f778b213e377dd1eb6520",
+    "sweep/sweep_summary.csv": "e33410fee4a701e545581fea2c1fd0d03fcecf39f311cb90ba0ff334a3e3bf2f",
+    "tm/tm.txt": "2cb5f0048843c3aca5e44057b623fe9bd669e62b68a6e9ab6998394f216d5e1f",
 }
 
 

@@ -75,30 +75,58 @@ def test_haar_columns_match_random_tm():
             assert channel.entries.tobytes() == entries.tobytes()
 
 
-# Digests of the lit input mode's block under this process's BLAS threads, and of
-# the same columns of the full unitary.
-_THREAD_PROBE = """
+# Digests of the lit input mode's block, of the same columns of the full
+# unitary, and of Alice's analyzer states, under this process's BLAS settings.
+_BLAS_PROBE = """
 import hashlib
+from speckle_bell import cli
 from speckle_bell.medium import HaarChannel, random_tm
 for seed in (3, 41):
+    alice = cli.draw_alice_pair(cli.ExperimentConfig(seed=seed))
+    states = repr([(p.state.theta, p.state.phi) for b in alice for p in (b.first, b.second)])
     print(hashlib.sha256(HaarChannel(200, seed).columns().tobytes()).hexdigest(),
-          hashlib.sha256(random_tm(200, seed).entries[:, :2].tobytes()).hexdigest())
+          hashlib.sha256(random_tm(200, seed).entries[:, :2].tobytes()).hexdigest(),
+          hashlib.sha256(states.encode()).hexdigest())
 """
 
 
 def test_haar_columns_independent_of_blas_threads():
+    # The block and Alice's states use no BLAS: neither OpenBLAS's thread
+    # count nor its CPU kernel may change their bits.
     src = Path(speckle_bell.__file__).resolve().parents[1]
-    lines = {}
-    for threads in (1, 2):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": str(src)}
+    base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    outputs = []
+    for setting in (("OPENBLAS_NUM_THREADS", "1"), ("OPENBLAS_NUM_THREADS", "2"),
+                    ("OPENBLAS_CORETYPE", "Haswell"), ("OPENBLAS_CORETYPE", "Sandybridge")):
+        env = {**base, setting[0]: setting[1], "PYTHONPATH": str(src)}
         done = subprocess.run(
-            [sys.executable, "-c", _THREAD_PROBE],
+            [sys.executable, "-c", _BLAS_PROBE],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        lines[threads] = [line.split() for line in done.stdout.splitlines()]
-    assert len(lines[1]) == 2
-    for (thin_1, full_1), (thin_2, _) in zip(lines[1], lines[2]):
-        assert thin_1 == thin_2 == full_1
+        outputs.append([line.split() for line in done.stdout.splitlines()])
+    assert len(outputs[0]) == 2
+    for block, full, _ in outputs[0]:
+        assert block == full
+    assert all(lines == outputs[0] for lines in outputs[1:])
+
+
+def test_haar_block_law():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    for m in (1, 2, 12, 1000):
+        block = HaarChannel(m, 7).columns()
+        assert np.max(np.abs(block.conj().T @ block - np.eye(2))) < 1e-12
+    # One output mode (two rows) per seed, pooled over 1,000 seeds at M = 6:
+    # a row's Jones vector is uniform on the sphere and its weight is that
+    # of 2 of the 2M coordinates of a uniform unit vector, Beta(2, 2M - 2).
+    m = 6
+    projectors = [p for seed in range(1000)
+                  for p in bob_projector_set(HaarChannel(m, seed).columns(), [seed % m])]
+    cos_theta = [math.cos(p.state.theta) for p in projectors]
+    phi = [p.state.phi for p in projectors]
+    weight = [p.weight for p in projectors]
+    assert scipy_stats.kstest(cos_theta, scipy_stats.uniform(-1, 2).cdf).pvalue > 1e-3
+    assert scipy_stats.kstest(phi, scipy_stats.uniform(0, 2 * math.pi).cdf).pvalue > 1e-3
+    assert scipy_stats.kstest(weight, scipy_stats.beta(2, 2 * m - 2).cdf).pvalue > 1e-3
 
 
 def test_projector_identity_h_detector():

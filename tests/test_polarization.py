@@ -139,14 +139,37 @@ def test_waveplate_bad_detector():
         waveplate_projection(0, 0, 3)
 
 
+def jones_detector1(hwp, qwp):
+    """Oracle: the analyzer's Jones product HWP(hwp) QWP(qwp) applied to |H>,
+    with plates diag(1, -1) and diag(1, -i) in their fast-axis frames."""
+    def rotation(angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([[c, -s], [s, c]])
+
+    def plate(angle, retardance):
+        r = rotation(angle)
+        return r @ np.diag([1.0, retardance]) @ r.T
+
+    return (plate(hwp, -1.0) @ plate(qwp, -1.0j))[:, 0]
+
+
+def bloch(h, v):
+    """Stokes vector of the Jones vector (h, v), normalized."""
+    cross = np.conj(h) * v
+    return np.array([2 * cross.real, 2 * cross.imag, abs(h) ** 2 - abs(v) ** 2]) / (
+        abs(h) ** 2 + abs(v) ** 2)
+
+
 def test_vectorized_angles_match_scalar():
     rng = np.random.default_rng(8)
     al = rng.uniform(0, 2 * math.pi, 100)
     be = rng.uniform(0, 2 * math.pi, 100)
     theta, phi = waveplate_detector1_angles(al, be)
     for k in range(100):
-        ref = waveplate_projection(al[k], be[k], 1)
-        assert overlap(ref, PoincareState(theta[k], phi[k])) > 1 - 1e-12
+        want = bloch(*jones_detector1(al[k], be[k]))
+        for state in (PoincareState(theta[k], phi[k]), waveplate_projection(al[k], be[k], 1)):
+            vec = amplitude_vector(state)
+            assert np.max(np.abs(bloch(vec.h, vec.v) - want)) < 1e-12
 
 
 def test_random_alice_state_deterministic():
