@@ -42,8 +42,6 @@ class TransmissionMatrix:
             raise ValueError(
                 f"entries must have shape ({n}, {n}), got {self.entries.shape}"
             )
-        if not np.iscomplexobj(self.entries):
-            object.__setattr__(self, "entries", self.entries.astype(complex))
         self.entries.setflags(write=False)
 
     def unitarity_residual(self) -> float:
@@ -163,67 +161,40 @@ def speckle_intensity(block: np.ndarray, input_vector: AmplitudeVector) -> np.nd
 def save_tm(tm: TransmissionMatrix | HaarChannel, path: str | Path) -> None:
     """Write the channel matrix in the plain-text interchange format.
 
-    Header ``TM v1 M=<int> seed=<uint64>`` followed by one line per entry,
-    ``k p' j p re im``, in row-major order, with 17 significant digits so the
-    round trip is exact.
+    Header ``TM v2 M=<int> seed=<uint64>`` followed by one line per matrix
+    row, in row order: the real and then the imaginary part of every entry,
+    in column order, with 17 significant digits so the round trip is exact.
     """
-    # Each matrix row's lines are one %-template over its interleaved (re, im).
-    columns = [f" {j} {p} %.17g %.17g" for j in range(tm.m_spatial) for p in "HV"]
+    template = " ".join(["%.17g"] * 4 * tm.m_spatial) + "\n"
     with open(path, "w") as f:
-        f.write(f"TM v1 M={tm.m_spatial} seed={tm.seed}\n")
-        for r, row in enumerate(np.ascontiguousarray(tm.entries)):
-            prefix = f"{r // 2} {'HV'[r % 2]}"
-            f.write(prefix + f"\n{prefix}".join(columns) % tuple(row.view(float).tolist()) + "\n")
+        f.write(f"TM v2 M={tm.m_spatial} seed={tm.seed}\n")
+        for row in np.ascontiguousarray(tm.entries):
+            f.write(template % tuple(row.view(float).tolist()))
 
 
 def load_tm(path: str | Path) -> TransmissionMatrix:
-    """Read a channel matrix written by :func:`save_tm`; entry lines may come
-    in any order, and a malformed file raises ValueError naming ``path``."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    try:
-        tag, version, m_field, seed_field = lines[0].split()
-        m_spatial = int(m_field.removeprefix("M="))
-        seed = int(seed_field.removeprefix("seed="))
-        if (tag, version) != ("TM", "v1") or m_spatial < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"{path}: bad header {lines[0]!r}") from None
-    n = 2 * m_spatial
-    body = lines[1:]
-    if len(body) != n * n:
-        raise ValueError(f"{path}: expected {n * n} entry lines, got {len(body)}")
-    # Letters as "U2", not "U1", so that "HV" is rejected instead of cut to "H".
-    try:
-        data = np.loadtxt(body, dtype="i8,U2,i8,U2,f8,f8", comments=None, ndmin=1)
-        if len(data) != len(body):  # loadtxt skips blank lines
-            raise ValueError(f"{len(body) - len(data)} blank lines")
-    except ValueError as exc:
-        # Name the first file line that is not "int str int str float float".
-        for i, line in enumerate(body):
-            try:
-                k, _, j, _, x, y = line.split()
-                int(k), int(j), float(x), float(y)
+    """Read a channel matrix written by :func:`save_tm`.  A malformed file
+    raises ValueError naming ``path``, and a bad row names ``path:<line>``."""
+    with open(path) as f:
+        header = f.readline()
+        try:
+            tag, version, m_field, seed_field = header.split()
+            m_spatial = int(m_field.removeprefix("M="))
+            seed = int(seed_field.removeprefix("seed="))
+            if (tag, version) != ("TM", "v2") or m_spatial < 1:
+                raise ValueError
+            n = 2 * m_spatial
+            parts = np.empty((n, 2 * n))  # (re, im) of each entry, row by row
+        except (ValueError, MemoryError):  # also an M too large to allocate
+            raise ValueError(f"{path}: bad header {header.rstrip()!r}") from None
+        for r in range(n):
+            try:  # reshape rejects a row of the wrong length; assignment would broadcast it
+                parts[r] = np.array(f.readline().split(), dtype=float).reshape(2 * n)
             except ValueError:
-                raise ValueError(f"{path}:{i + 2}: malformed entry line: {line!r}") from None
-        raise ValueError(f"{path}: {exc}") from None
-    k, p_out, j, p_in, re, im = (data[name] for name in data.dtype.names)
-    valid = (np.isin(p_out, ("H", "V")) & np.isin(p_in, ("H", "V"))
-             & (0 <= k) & (k < m_spatial) & (0 <= j) & (j < m_spatial))
-    if not valid.all():
-        bad = int(np.argmin(valid))  # no blank lines, so line bad + 2 of the file
-        raise ValueError(f"{path}:{bad + 2}: mode or polarization out of range: {body[bad]!r}")
-    rows, cols = 2 * k + (p_out == "V"), 2 * j + (p_in == "V")
-    seen = np.zeros((n, n), dtype=bool)
-    seen[rows, cols] = True
-    if not seen.all():
-        raise ValueError(f"{path}: {int((~seen).sum())} entries missing")
-    entries = np.zeros((n, n), dtype=complex)
-    # Parts assigned separately: re + 1j*im would turn a -0.0 real part into +0.0.
-    entries.real[rows, cols] = re
-    entries.imag[rows, cols] = im
-    return TransmissionMatrix(m_spatial, entries, seed)
+                raise ValueError(f"{path}:{r + 2}: row {r} is not {2 * n} numbers") from None
+        if f.readline():
+            raise ValueError(f"{path}:{n + 2}: more than {n} rows")
+    return TransmissionMatrix(m_spatial, parts.view(complex), seed)
 
 
 def write_speckle_csv(intensity: np.ndarray, path: str | Path) -> None:

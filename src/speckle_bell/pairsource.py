@@ -106,17 +106,16 @@ def oracle_joint_probability(alice: PoincareState, bob: Projector, nu: float) ->
 
 
 def contrast(alice: PoincareState, bob: Projector, nu0: float) -> float:
-    """Closed-form contrast (R_0 - R_inf)/R_inf of the delay curve."""
+    """Contrast (R_0 - R_inf)/R_inf of the delay curve, from the rates at zero
+    delay (visibility ``nu0``) and at infinite delay (visibility 0)."""
     nu0 = _check_visibility(nu0, "nu0")
-    ca, sa = _half_trig(alice.theta)
-    cb, sb = _half_trig(bob.state.theta)
-    den = (ca * cb) ** 2 + (sa * sb) ** 2
-    if den <= 1e-300:
+    b = bob.state
+    r0, r_inf = joint_rates(alice.theta, alice.phi, b.theta, b.phi, 1.0, np.array([nu0, 0.0]))
+    if r_inf <= 1e-300:
         raise UndefinedContrastError(
             "contrast undefined: alice and bob are opposite poles"
         )
-    num = abs(ca * cb * sa * sb) * math.cos(bob.state.phi - alice.phi)
-    return float(-2.0 * nu0 * num / den)
+    return float((r0 - r_inf) / r_inf)
 
 
 def hom_curve(

@@ -89,7 +89,7 @@ GOLDEN = {
     "sweep/sweep_hist_nu_0.csv": "ce81e3184a02b521aec04348ddbb802b5402b45a7162c4346648327a521aed92",
     "sweep/sweep_hist_nu_1.csv": "f7fcc4622d3b2f0c183e1e5d5f6a9cc93a2ed75d424f778b213e377dd1eb6520",
     "sweep/sweep_summary.csv": "e33410fee4a701e545581fea2c1fd0d03fcecf39f311cb90ba0ff334a3e3bf2f",
-    "tm/tm.txt": "2cb5f0048843c3aca5e44057b623fe9bd669e62b68a6e9ab6998394f216d5e1f",
+    "tm/tm.txt": "976271ed028bcc731736b842a1e8c3f2503e5e5deccc2dd5a83953cd4296abb5",
 }
 
 

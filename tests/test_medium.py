@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -322,7 +323,7 @@ def test_speckle_intensities_exponential():
 # shortest repr has 1 or 17 significant digits.
 _EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                 0.1, 2.0000000000000004]
-_EDGE_TM_SHA256 = "953d258301687148686346c5d337b4a3e5d20beb15a9e8013b339c303f924656"
+_EDGE_TM_SHA256 = "ec1836e17470d9ea234b106bf7ce3e6a61adf11de394d8453f409fd15aafdc83"
 
 
 def test_tm_round_trip(tmp_path):
@@ -345,52 +346,65 @@ def test_tm_round_trip(tmp_path):
     assert back.entries.tobytes() == edge.entries.tobytes()
 
 
+_HEADER, _ROW_0, _ROW_1 = "TM v2 M=1 seed=0", "1 0 0 0", "0 0 1 0"  # the 2x2 identity
+
+
 def test_tm_load_rejects_bad_header(tmp_path):
     path = tmp_path / "tm.txt"
-    path.write_text("XX v9 M=2 seed=0\n")
-    with pytest.raises(ValueError):
-        load_tm(path)
+    for header in ("XX v9 M=1 seed=0", "TM v1 M=1 seed=0", "TM v2 M=0 seed=0",
+                   "TM v2 M=10000000000000 seed=0"):
+        path.write_text(f"{header}\n{_ROW_0}\n{_ROW_1}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad header {header!r}")):
+            load_tm(path)
 
 
 def test_tm_load_rejects_missing_entries(tmp_path):
     path = tmp_path / "tm.txt"
-    path.write_text("TM v1 M=1 seed=0\n0 H 0 H 1 0\n")
-    with pytest.raises(ValueError):
+    path.write_text(f"{_HEADER}\n{_ROW_0}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: row 1 is not 4 numbers")):
         load_tm(path)
 
 
-_VALID_TM = ["TM v1 M=1 seed=0", "0 H 0 H 1 0", "0 H 0 V 0 0", "0 V 0 H 0 0", "0 V 0 V 1 0"]
-_BAD_TM_LINES = {
-    "blank": "", "comment": "0 V 0 H 0 0 # c", "letters-HV": "0 HV 0 H 0 0",
-    "letter-X": "0 X 0 H 0 0", "letter-h": "0 V 0 h 0 0", "k-is-M": "1 V 0 H 0 0",
-    "j-negative": "0 V -1 H 0 0", "5-fields": "0 V 0 H 0", "7-fields": "0 V 0 H 0 0 0",
-    "index-0.0": "0.0 V 0 H 0 0", "value-abc": "0 V 0 H abc 0",
-    "duplicate": "0 H 0 H 1 0",  # in place of the missing "0 V 0 H" entry
-}
+# Each malformed file, and the file line a row-level case fails at.
 _BAD_TM_FILES = {
-    **{name: "\n".join([*_VALID_TM[:3], line, _VALID_TM[4]]) + "\n"
-       for name, line in _BAD_TM_LINES.items()},
-    "header-only": _VALID_TM[0] + "\n",
-    "empty": "",
+    "empty": ([], None),
+    "header-only": ([_HEADER], 2),
+    "duplicate": ([_HEADER, _ROW_0, _ROW_1, _ROW_1], 4),  # the last row twice
+    "k-is-M": ([_HEADER, _ROW_0, _ROW_1, "0 0 0 0"], 4),  # a row for output mode M
+    "blank": ([_HEADER, _ROW_0, "", _ROW_1], 3),
+    "1-field": ([_HEADER, _ROW_0, "0"], 3),  # would broadcast over the row
+    "5-fields": ([_HEADER, _ROW_0, "0 0 1 0 0"], 3),
+    "value-abc": ([_HEADER, _ROW_0, "0 0 abc 0"], 3),
+    "comment": ([_HEADER, _ROW_0, "0 0 1 0 # c"], 3),
+    "letters-HV": ([_HEADER, _ROW_0, "0 V 0 V 1 0"], 3),  # a v1 entry line
 }
-
-
-# Cases that fail the six-field parse, named by their file line (line 4).
-_UNPARSABLE_TM = ("blank", "comment", "5-fields", "7-fields", "index-0.0", "value-abc")
 
 
 @pytest.mark.parametrize(
-    ("name", "text"), _BAD_TM_FILES.items(), ids=_BAD_TM_FILES.keys()
+    ("lines", "line_number"), _BAD_TM_FILES.values(), ids=_BAD_TM_FILES.keys()
 )
-def test_tm_load_rejects_malformed_file(tmp_path, name, text):
+def test_tm_load_rejects_malformed_file(tmp_path, lines, line_number):
     path = tmp_path / "tm.txt"
-    path.write_text(text)
-    where = f"{path}:4: malformed entry line" if name in _UNPARSABLE_TM else str(path)
+    path.write_text("".join(line + "\n" for line in lines))
+    where = f"{path}: bad header" if line_number is None else f"{path}:{line_number}:"
     with pytest.raises(ValueError, match=re.escape(where)):
         load_tm(path)
 
 
-def test_tm_load_accepts_any_line_order(tmp_path):
+def test_tm_load_reads_rows(tmp_path):
     path = tmp_path / "tm.txt"
-    path.write_text("\n".join([_VALID_TM[0], *reversed(_VALID_TM[1:])]) + "\n")
+    path.write_text(f"{_HEADER}\n{_ROW_0}\n{_ROW_1}\n")
     assert np.array_equal(load_tm(path).entries, np.eye(2))
+
+
+def test_tm_load_peak_memory(tmp_path):
+    path = tmp_path / "tm.txt"
+    save_tm(random_tm(200, 1), path)
+    tracemalloc.start()
+    try:
+        load_tm(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A row at a time: the (400, 800) float64 parts are 2.6 MB of the peak.
+    assert peak < 20e6

@@ -251,7 +251,8 @@ def test_contrast_vanishes_for_polar_bob():
     rng = np.random.default_rng(25)
     for _ in range(50):
         alice = PoincareState(rng.uniform(0.05, math.pi - 0.05), rng.uniform(0, 2 * math.pi))
-        assert contrast(alice, unit(0.0, 0.0), 0.93) == 0.0
+        c = contrast(alice, unit(0.0, 0.0), 0.93)
+        assert c == 0.0 and math.copysign(1.0, c) == 1.0  # +0.0: hom prints no "-0.000000"
 
 
 def test_contrast_undefined_at_opposite_poles():
