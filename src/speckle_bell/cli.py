@@ -28,9 +28,6 @@ from .polarization import (
 # Stream tags for deriving independent sub-seeds from the master seed.
 _TAG_TM, _TAG_ALICE, _TAG_COUNTS, _TAG_POSITIONS = 1, 2, 3, 4
 
-# Histogram bins are held in memory; the default config uses 60.
-MAX_HIST_BINS = 10**6
-
 # Only ``tm`` builds the full (2M)x(2M) complex channel matrix, with a peak
 # RSS of about 5.5x the matrix (350 MB measured at M = 1000); this bound
 # (m_spatial <= 2896) keeps that below about 3 GiB.  The other subcommands
@@ -71,9 +68,6 @@ class ExperimentConfig:
     noiseless: bool = False
     seed: int = 0
     alice_draws: int = 1
-    hist_bin_width: float = 0.05
-    hist_lo: float = 0.0
-    hist_hi: float = 3.0
 
     @property
     def acquisition(self) -> stats.AcquisitionConfig:
@@ -123,20 +117,6 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not self.hist_lo < self.hist_hi:
-            raise ConfigError(
-                f"need hist_lo < hist_hi, got ({self.hist_lo}, {self.hist_hi})"
-            )
-        if not math.isfinite(self.hist_hi - self.hist_lo):
-            raise ConfigError(
-                f"hist_hi - hist_lo must be finite, got ({self.hist_lo}, {self.hist_hi})"
-            )
-        # Also rejects a width <= 0, since hist_hi - hist_lo > 0.
-        if not self.hist_bin_width >= (self.hist_hi - self.hist_lo) / MAX_HIST_BINS:
-            raise ConfigError(
-                f"hist_bin_width must be positive and give at most {MAX_HIST_BINS} "
-                f"bins over [hist_lo, hist_hi], got {self.hist_bin_width}"
-            )
         for name in ("pair_rate", "integration_time"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -182,7 +162,7 @@ def parse_config_file(path: str | Path) -> dict:
     """Parse a flat key=value config file with '#' comments."""
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -195,6 +175,8 @@ def parse_config_file(path: str | Path) -> dict:
         key = key.strip()
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key: {key}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate config key: {key}")
         values[key] = _coerce(key, raw.strip())
     return values
 
@@ -252,15 +234,14 @@ def chsh_enumeration(cfg: ExperimentConfig) -> chsh.SEnumeration:
     return stats.noisy_enumerate(alice_pair, projectors, cfg.visibility, cfg.acquisition)
 
 
-def tile_counts(cfg: ExperimentConfig, enumerations):
+def tile_counts(enumerations):
     """Histogram count vector, number of S above 2 and number of S over the
     :func:`chsh.s_tiles` of every enumeration; no (D, D) grid is held."""
-    bounds = (cfg.hist_lo, cfg.hist_hi)
-    counts = stats.histogram((), cfg.hist_bin_width, bounds)
+    counts = stats.histogram(())
     above = total = 0
     for enumeration in enumerations:
         for tile, _ in chsh.s_tiles(enumeration):
-            counts += stats.histogram(tile, cfg.hist_bin_width, bounds)
+            counts += stats.histogram(tile)
             above += int(np.count_nonzero(tile > 2.0))
             total += tile.size
     return counts, above, total
@@ -276,9 +257,8 @@ def cmd_chsh(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         f"{enumeration.skipped} skipped, {mode}, visibility {cfg.visibility:g})"
     )
     chsh.write_srecords_csv(enumeration, out / "srecords.csv")
-    counts, _, _ = tile_counts(cfg, [enumeration])
-    bounds = (cfg.hist_lo, cfg.hist_hi)
-    stats.write_histogram_csv(counts, cfg.hist_bin_width, bounds, out / "histogram.csv")
+    counts, _, _ = tile_counts([enumeration])
+    stats.write_histogram_csv(counts, out / "histogram.csv")
     report = stats.certify_arrays(chsh.s_tiles(enumeration), enumeration.skipped)
     stats.write_report_json(report, out / "report.json")
     print(
@@ -317,7 +297,7 @@ def cmd_hom(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     try:
-        nu_list = [float(x) for x in args.nus.split(",") if x.strip()]
+        nu_list = [float(x) + 0.0 for x in args.nus.split(",") if x.strip()]  # -0 is 0
     except ValueError:
         raise ConfigError(f"bad --nus list {args.nus!r}") from None
     if not nu_list:
@@ -333,13 +313,12 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         f"stage: sweep over nu={nu_list} with {cfg.alice_draws} Alice draws (noiseless)"
     )
     summary = ["nu,draws,records_per_draw,mean_fraction_above_2"]
-    bounds = (cfg.hist_lo, cfg.hist_hi)
     alice_pairs = [draw_alice_pair(cfg, draw) for draw in range(cfg.alice_draws)]
     for nu in nu_list:
         enumerations = (chsh.enumerate_s(pair, projectors, nu) for pair in alice_pairs)
-        counts, above, total = tile_counts(cfg, enumerations)
+        counts, above, total = tile_counts(enumerations)
         path = out / f"sweep_hist_nu_{nu:g}.csv"
-        stats.write_histogram_csv(counts / cfg.alice_draws, cfg.hist_bin_width, bounds, path)
+        stats.write_histogram_csv(counts / cfg.alice_draws, path)
         fraction = above / total if total else 0.0
         summary.append(
             f"{nu:.12g},{cfg.alice_draws},{total // cfg.alice_draws},{fraction:.12g}"
@@ -446,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(build_config(args), args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

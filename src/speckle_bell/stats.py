@@ -5,8 +5,8 @@ histogramming; :func:`e_with_sigma` and :func:`s_with_sigma` are their oracles.
 The detected-count error model follows standard shot-noise practice: each
 count n carries sigma = sqrt(n) and the variances of the four correlations in
 one S add as if they used disjoint data, which is false on the K = K'
-diagonal: there S = |2 E(A, B_K)| and the variance is understated (ROADMAP,
-"Make certification sound at every count level").  sqrt(n) also gives
+diagonal: there S = |2 E(A, B_K)| and the variance is understated (ROADMAP
+item 2, "Sound certification, with its power measured").  sqrt(n) also gives
 sigma = 0 for empty cells, which understates the true uncertainty; the rule
 is kept for fidelity with how coincidence experiments are usually analyzed.
 """
@@ -32,6 +32,10 @@ from .chsh import (
     restrict_to_defined,
 )
 from .polarization import Projector
+
+# The S histogram's bins: S lies in [0, 4], and the bins cover [0, 3) in steps
+# of 0.05 with one overflow bin above.  srecords.csv keeps every S for others.
+HIST_LO, HIST_BIN_WIDTH, HIST_NBINS = 0.0, 0.05, 60
 
 
 @dataclass(frozen=True)
@@ -180,51 +184,30 @@ def certify_arrays(
     return CertificationReport(total, int(above), int(above5), max_s, max_sigma, int(skipped))
 
 
-def histogram(
-    values: Sequence[float] | np.ndarray,
-    bin_width: float,
-    bounds: tuple[float, float],
-) -> np.ndarray:
+def histogram(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Left-closed right-open histogram as one int count vector of length
-    nbins + 2: underflow, the bins from ``bounds[0]`` up, overflow.
+    HIST_NBINS + 2: underflow, the bins from HIST_LO up, overflow.
 
     A value exactly on a bin edge lands in the bin whose lower edge it is.
     The counts always sum to the input size.
     """
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not bin_width > 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-    ratio = (hi - lo) / bin_width
-    if not math.isfinite(ratio):
-        raise ValueError(
-            f"(hi - lo) / bin_width must be finite, got ({lo}, {hi}) and {bin_width}"
-        )
-    nbins = int(math.floor(ratio))
-    if ratio - nbins > 1e-9:
-        nbins += 1
-    nbins = max(nbins, 1)
-
     vals = np.ravel(np.asarray(values, dtype=float))
     if np.isnan(vals).any():
         raise ValueError("histogram input contains NaN")
-    idx = vals - lo
-    np.divide(idx, bin_width, out=idx)
+    idx = vals - HIST_LO
+    np.divide(idx, HIST_BIN_WIDTH, out=idx)
     np.floor(idx, out=idx)
-    np.clip(idx, -1, nbins, out=idx)
+    np.clip(idx, -1, HIST_NBINS, out=idx)
     np.add(idx, 1, out=idx)
-    return np.bincount(idx.astype(np.intp), minlength=nbins + 2)
+    return np.bincount(idx.astype(np.intp), minlength=HIST_NBINS + 2)
 
 
-def write_histogram_csv(
-    counts: np.ndarray, bin_width: float, bounds: tuple[float, float], path: str | Path
-) -> None:
-    """Dump the count vector of a :func:`histogram` (or a mean of several) with
-    the same ``bin_width`` and ``bounds`` as ``bin_lo,bin_hi,count`` rows."""
-    lo, counts = float(bounds[0]), np.asarray(counts).tolist()
-    lows = [lo + i * bin_width for i in range(len(counts) - 1)]  # lower edges: bins, overflow
-    edges = [(-math.inf, lo), *zip(lows, lows[1:]), (lows[-1], math.inf)]
+def write_histogram_csv(counts: np.ndarray, path: str | Path) -> None:
+    """Dump the count vector of a :func:`histogram` (or a mean of several) as
+    ``bin_lo,bin_hi,count`` rows."""
+    counts = np.asarray(counts).tolist()
+    lows = [HIST_LO + i * HIST_BIN_WIDTH for i in range(len(counts) - 1)]  # bins, overflow
+    edges = [(-math.inf, HIST_LO), *zip(lows, lows[1:]), (lows[-1], math.inf)]
     lines = ["bin_lo,bin_hi,count"]
     lines += [f"{a:.12g},{b:.12g},{c:.12g}" for (a, b), c in zip(edges, counts)]
     Path(path).write_text("\n".join(lines) + "\n")

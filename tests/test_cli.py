@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from speckle_bell import chsh
+from speckle_bell import chsh, stats
 from speckle_bell.cli import (
     CONFIG_DEFAULTS,
     ConfigError,
@@ -22,7 +22,6 @@ from speckle_bell.cli import (
     tile_counts,
 )
 from speckle_bell.polarization import PoincareState, Projector
-from speckle_bell.stats import histogram
 
 SMALL_CONFIG = """
 # small, fast scenario
@@ -67,6 +66,33 @@ def test_parse_config_rejects_unknown_key(tmp_path):
             parse_config_file(path)
 
 
+def test_parse_config_rejects_duplicate_key(tmp_path):
+    path = tmp_path / "dup.cfg"
+    path.write_text("m_spatial = 12\n# comment\nm_spatial = 13\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config_file(path)
+    assert str(exc.value) == f"{path}:3: duplicate config key: m_spatial"
+
+
+def test_parse_config_accepts_utf8_bom(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes("m_spatial = 12\nn_positions = 4\n".encode("utf-8-sig"))
+    assert parse_config_file(path) == {"m_spatial": 12, "n_positions": 4}
+
+
+@pytest.mark.parametrize("key", ["hist_bin_width", "hist_lo", "hist_hi"])
+def test_removed_histogram_keys_are_rejected(tmp_path, capsys, key):
+    """The S histogram's bins are fixed (stats.HIST_*): no config key sets them."""
+    path = tmp_path / "bins.cfg"
+    path.write_text(f"m_spatial = 12\nn_positions = 4\n{key} = 0.1\n")
+    out = tmp_path / "out"
+    for command in ("chsh", "sweep"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:3: unknown config key: {key}\n"
+    assert not out.exists()
+
+
 def test_parse_config_rejects_bad_value(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("m_spatial = eight\n")
@@ -82,13 +108,6 @@ def test_config_validation_names_field():
         ExperimentConfig(visibility=2.0).validate()
     with pytest.raises(ConfigError, match="n_positions"):
         ExperimentConfig(m_spatial=4, n_positions=10).validate()
-    # bin counts are checked from the config, before any histogram exists
-    for width in (0.0, -0.05, 1e-9):
-        with pytest.raises(ConfigError, match="hist_bin_width"):
-            ExperimentConfig(hist_bin_width=width).validate()
-    # a span that overflows to inf is the bounds' fault, not the width's (2e5 bins)
-    with pytest.raises(ConfigError, match="hist_hi - hist_lo"):
-        ExperimentConfig(hist_lo=-1e308, hist_hi=1e308, hist_bin_width=1e303).validate()
     # the channel matrix size is checked from the config, before it is sampled
     for m in (2897, 10**6):
         with pytest.raises(ConfigError, match="m_spatial"):
@@ -97,8 +116,7 @@ def test_config_validation_names_field():
         ExperimentConfig(m_spatial=m).validate()
     # non-finite floats are named before any run uses them
     inf, nan = math.inf, math.nan
-    for field, value in (("hist_hi", inf), ("hist_bin_width", inf), ("hist_lo", -inf),
-                         ("coherence_length", inf), ("pair_rate", inf),
+    for field, value in (("coherence_length", inf), ("pair_rate", inf), ("efficiency", -inf),
                          ("integration_time", nan), ("visibility", nan)):
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             ExperimentConfig(**{field: value}).validate()
@@ -164,6 +182,7 @@ def test_help_lists_config_keys(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     out = capsys.readouterr().out
+    assert len(CONFIG_DEFAULTS) == 10
     for key, default in CONFIG_DEFAULTS.items():
         assert f"{key} = {default}" in out
 
@@ -302,26 +321,26 @@ def test_sweep_ordering(tmp_path, small_config):
 def test_sweep_counts_match_untiled_enumeration(monkeypatch, tile_rows):
     """Tile heights that split the D = 44 defined bases unevenly (1, 7) or not
     at all give the counts of the untiled enumeration; the (dark, dark) basis
-    is dropped before tiling."""
+    is dropped before tiling.  Bins over [0.5, 2.11) reach both sentinel rows."""
     monkeypatch.setattr(chsh, "_S_TILE_ROWS", tile_rows)
-    cfg = ExperimentConfig(m_spatial=12, n_positions=4, hist_bin_width=0.07,
-                           hist_lo=0.5, hist_hi=2.1)
+    for name, value in (("HIST_LO", 0.5), ("HIST_BIN_WIDTH", 0.07), ("HIST_NBINS", 23)):
+        monkeypatch.setattr(stats, name, value)
+    cfg = ExperimentConfig(m_spatial=12, n_positions=4)
     _, _, projectors = build_channel(cfg)
     projectors += [Projector(0j, PoincareState(0.0, 0.0)),
                    Projector(0j, PoincareState(1.0, 2.0))]
     alice_pairs = [draw_alice_pair(cfg, draw) for draw in range(3)]
-    bounds = (cfg.hist_lo, cfg.hist_hi)
     for nu in (0.0, 0.93, 1.0):
         want_counts, want_above, want_total = 0, 0, 0
         enums = [chsh.enumerate_s(alice_pair, projectors, nu) for alice_pair in alice_pairs]
         for enum in enums:
             assert enum.skipped == 45**2 - 44**2
             s = chsh.s_combination(*enum.e)  # the whole (D, D) grid
-            want_counts = want_counts + histogram(s, cfg.hist_bin_width, bounds)
+            want_counts = want_counts + stats.histogram(s)
             want_above += int(np.count_nonzero(s > 2.0))
             want_total += s.size
-        counts, above, total = tile_counts(cfg, enums)
-        assert counts.dtype == want_counts.dtype
+        counts, above, total = tile_counts(enums)
+        assert counts.dtype == want_counts.dtype and len(counts) == 25
         assert counts.tolist() == want_counts.tolist()
         assert (above, total) == (want_above, want_total)
         assert counts[0] > 0  # underflow reached
@@ -336,6 +355,7 @@ def test_sweep_rejects_bad_nus(tmp_path, small_config, capsys):
         # each nu names its histogram file to 6 significant digits
         (["--nus", "0.93,0.9300001"], "--nus"),
         (["--nus", "0.5,0.5"], "--nus"),
+        (["--nus", "0,-0"], "--nus"),  # -0 is the visibility 0
         (["--alice-draws", "0"], "alice_draws"),
         # one Alice pair is held per draw: no run directory for 10**5 + 1 of them
         (["--alice-draws", "100001"], "alice_draws"),
@@ -349,10 +369,19 @@ def test_sweep_rejects_bad_nus(tmp_path, small_config, capsys):
         assert not out.exists()  # rejected before any file is written
 
 
+def test_sweep_negative_zero_is_zero(tmp_path, small_config):
+    trees = []
+    for nus in ("0", "-0"):
+        out = tmp_path / nus
+        argv = ["--config", small_config, "--seed", "2", "--nus", nus, "--out", str(out)]
+        assert main(["sweep", *argv]) == 0
+        trees.append(read_tree(out))
+    assert set(trees[0]) == {"sweep_hist_nu_0.csv", "sweep_summary.csv"}
+    assert trees[1] == trees[0]
+
+
 # Configs that would fail partway through a run; validate() must reject them first.
 _UNRUNNABLE_CONFIGS = {
-    "chsh-inf-histogram": ("chsh", "hist_hi = inf\nhist_bin_width = inf", "hist_bin_width"),
-    "sweep-inf-histogram": ("sweep", "hist_hi = inf\nhist_bin_width = inf", "hist_bin_width"),
     "chsh-huge-integration": ("chsh", "integration_time = 1e300", "integration_time"),
     "chsh-inf-pair-rate": ("chsh", "pair_rate = inf", "pair_rate"),
     "hom-inf-coherence": ("hom", "coherence_length = inf", "coherence_length"),

@@ -23,6 +23,9 @@ from speckle_bell.chsh import (
 )
 from speckle_bell.polarization import PoincareState, Projector
 from speckle_bell.stats import (
+    HIST_BIN_WIDTH,
+    HIST_LO,
+    HIST_NBINS,
     AcquisitionConfig,
     CertificationReport,
     certify,
@@ -428,68 +431,61 @@ def test_report_validation_and_json(tmp_path):
 # ---------------------------------------------------------------- histogram
 
 def test_histogram_empty(tmp_path):
-    counts = histogram([], 0.5, (0.0, 2.0))
-    assert counts.shape == (6,) and not counts.any()  # 4 bins + 2 sentinels
+    counts = histogram([])
+    assert counts.tolist() == [0] * 62  # 60 bins + 2 sentinels
     path = tmp_path / "h.csv"
-    write_histogram_csv(counts, 0.5, (0.0, 2.0), path)
+    write_histogram_csv(counts, path)
     lines = path.read_text().splitlines()
-    assert lines[1] == "-inf,0,0" and lines[-1] == "2,inf,0"
+    assert lines[1] == "-inf,0,0" and lines[-1] == "3,inf,0"
 
 
 def test_histogram_edge_goes_to_upper_bin():
-    counts = histogram([0.5], 0.25, (0.0, 1.0))
-    # bins: [0,.25) [.25,.5) [.5,.75) [.75,1): value 0.5 opens the third bin
-    assert counts.tolist() == [0, 0, 0, 1, 0, 0]
+    # bins: [0,.05) ... [1.95,2) [2,2.05) ...: S = 2 opens the bin above the bound
+    want = [0] * 62
+    want[1 + 40] = 1
+    assert histogram([2.0]).tolist() == want
 
 
 def test_histogram_conservation_with_sentinels():
     rng = np.random.default_rng(48)
     values = rng.uniform(-1, 4, 10_000)
-    counts = histogram(values, 0.05, (0.0, 3.0))
+    counts = histogram(values)
     assert counts.sum() == 10_000
     assert counts[0] > 0 and counts[-1] > 0
+    # one value in each sentinel row, the overflow row starting at 3
+    assert histogram([-1e-300, -math.inf]).tolist() == [2] + [0] * 61
+    assert histogram([3.0, 4.0, math.inf]).tolist() == [0] * 61 + [3]
+    assert histogram([2.9999]).tolist() == [0] * 60 + [1, 0]
 
 
 def test_histogram_bin_count_for_default_range(tmp_path):
-    counts = histogram([], 0.05, (0.0, 3.0))
-    assert len(counts) == 62  # 60 bins + 2 sentinels
+    assert (HIST_LO, HIST_BIN_WIDTH, HIST_NBINS) == (0.0, 0.05, 60)
     path = tmp_path / "h.csv"
-    write_histogram_csv(counts, 0.05, (0.0, 3.0), path)
+    write_histogram_csv(histogram([]), path)
     lines = path.read_text().splitlines()
+    assert len(lines) == 1 + 62
     assert lines[2].startswith("0,")
     assert float(lines[-2].split(",")[1]) == pytest.approx(3.0)
 
 
 def test_histogram_rejects_bad_args():
-    with pytest.raises(ValueError):
-        histogram([1.0], 0.0, (0.0, 1.0))
-    with pytest.raises(ValueError):
-        histogram([1.0], 0.1, (1.0, 0.0))
-    with pytest.raises(ValueError):
-        histogram([math.nan], 0.1, (0.0, 1.0))
-    # the bin count (hi - lo) / bin_width overflows to inf
-    with pytest.raises(ValueError):
-        histogram([0.0], 1e303, (-1e308, 1e308))
-    with pytest.raises(ValueError):
-        histogram([0.0], 5e-324, (0.0, 1.0))
+    with pytest.raises(ValueError, match="NaN"):
+        histogram([1.0, math.nan])
 
 
 def test_histogram_csv(tmp_path):
-    counts = histogram([0.1, 0.9, 5.0], 0.5, (0.0, 1.0))
+    counts = histogram([0.1, 0.9, 2.0, 5.0])
     path = tmp_path / "h.csv"
-    write_histogram_csv(counts, 0.5, (0.0, 1.0), path)
+    write_histogram_csv(counts, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "bin_lo,bin_hi,count"
-    assert lines[1].startswith("-inf,0,")
-    assert lines[-1].endswith(",1")  # the 5.0 overflow
-    assert lines[1:] == ["-inf,0,0", "0,0.5,1", "0.5,1,1", "1,inf,1"]
+    rows = lines[1:]
+    assert rows[:4] == ["-inf,0,0", "0,0.05,0", "0.05,0.1,0", "0.1,0.15,1"]
+    assert rows[18:20] == ["0.85,0.9,0", "0.9,0.95,1"]
+    assert rows[41] == "2,2.05,1"
+    assert rows[-2:] == ["2.95,3,0", "3,inf,1"]  # the 5.0 overflow
     # a mean over draws: whole numbers print without a fraction
-    write_histogram_csv(np.array([1.5, 3.0, 0.0, 0.25]), 0.5, (0.0, 1.0), path)
-    assert path.read_text().splitlines()[1:] == [
-        "-inf,0,1.5", "0,0.5,3", "0.5,1,0", "1,inf,0.25"
-    ]
-    # a negative-zero low edge keeps its sign on the underflow row only
-    write_histogram_csv(histogram([-1.0, 0.0], 0.5, (-0.0, 1.0)), 0.5, (-0.0, 1.0), path)
-    assert path.read_text().splitlines()[1:] == [
-        "-inf,-0,1", "0,0.5,1", "0.5,1,0", "1,inf,0"
-    ]
+    write_histogram_csv(np.array([1.5, 3.0] + [0.0] * 59 + [0.25]), path)
+    rows = path.read_text().splitlines()[1:]
+    assert rows[:3] == ["-inf,0,1.5", "0,0.05,3", "0.05,0.1,0"]
+    assert rows[-1] == "3,inf,0.25"
