@@ -37,6 +37,9 @@ from .polarization import Projector
 # of 0.05 with one overflow bin above.  srecords.csv keeps every S for others.
 HIST_LO, HIST_BIN_WIDTH, HIST_NBINS = 0.0, 0.05, 60
 
+# separable_counts declines a pair this close to a bin edge (bin units) or to 2.
+_EDGE_GUARD = 1e-9
+
 
 @dataclass(frozen=True)
 class AcquisitionConfig:
@@ -185,10 +188,12 @@ def certify_arrays(
 
 
 def histogram(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Left-closed right-open histogram as one int count vector of length
-    HIST_NBINS + 2: underflow, the bins from HIST_LO up, overflow.
+    """Histogram as one int count vector of length HIST_NBINS + 2: underflow,
+    the bins from HIST_LO up, overflow.
 
-    A value exactly on a bin edge lands in the bin whose lower edge it is.
+    A value v goes to bin floor((v - HIST_LO) / HIST_BIN_WIDTH) computed in
+    float64, so a value on a printed edge may land in the bin below it:
+    0.15 / 0.05 is 2.9999999999999996, and S = 0.15 counts in [0.1, 0.15).
     The counts always sum to the input size.
     """
     vals = np.ravel(np.asarray(values, dtype=float))
@@ -200,6 +205,55 @@ def histogram(values: Sequence[float] | np.ndarray) -> np.ndarray:
     np.clip(idx, -1, HIST_NBINS, out=idx)
     np.add(idx, 1, out=idx)
     return np.bincount(idx.astype(np.intp), minlength=HIST_NBINS + 2)
+
+
+def _lattice_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """:func:`histogram` counts of floor(p_K + q_K') over all pairs (K, K'), for
+    p = (x - HIST_LO) / w and q = y / w, with entry 0 the pairs in bins below 0;
+    None when some p_K + q_K' lies within _EDGE_GUARD of an integer.  The bin
+    is floor(p_K) + floor(q_K') + [frac p_K + frac q_K' >= 1]: with K' sorted
+    by frac q, one searchsorted per row K splits off its carries."""
+    p, q = (x - HIST_LO) / HIST_BIN_WIDTH, y / HIST_BIN_WIDTH
+    fp, fq = np.floor(p), np.floor(q)
+    rp, rq = p - fp, q - fq
+    order = np.argsort(rq)
+    g = (fq - fq.min()).astype(np.intp)[order]
+    # cum[i, j]: the K' among the i of smallest frac q with floor(q) = fq.min() + j
+    cum = np.zeros((y.size + 1, g.max() + 1), np.intp)
+    np.cumsum(g[:, None] == np.arange(g.max() + 1), axis=0, out=cum[1:])
+    c, eps = 1 - rp, _EDGE_GUARD
+    lo, t, hi, zero = np.searchsorted(rq[order], [c - eps, c, c + eps, eps - rp])
+    if (lo != hi).any() or zero.any():
+        return None
+    rows = np.argsort(fp)  # rows K grouped by floor(p)
+    f = fp[rows]
+    starts = np.flatnonzero(np.diff(f, prepend=-np.inf))
+    no_carry = np.add.reduceat(cum[t[rows]], starts, axis=0)
+    carry = np.diff(starts, append=x.size)[:, None] * cum[-1] - no_carry
+    bins = f[starts, None] + (fq.min() + np.arange(cum.shape[1]))
+    idx = np.clip([bins, bins + 1], -1, HIST_NBINS).astype(np.intp) + 1
+    return np.bincount(idx.ravel(), np.ravel([no_carry, carry]), HIST_NBINS + 2).astype(np.intp)
+
+
+def separable_counts(e: np.ndarray) -> tuple[np.ndarray, int, int] | None:
+    """:func:`histogram` counts, the number of S above 2 and the number of S
+    over every (K, K') of a (2, D) per-basis E, in O(D log D + 82 D) from
+    x = E_A + E_A' and y = E_A - E_A': S(K, K') = |x_K + y_K'| to a few ulps
+    of :func:`chsh.s_combination`, one :func:`_lattice_counts` per sign.  None
+    when some S lies within _EDGE_GUARD bin units of a bin edge or within
+    _EDGE_GUARD of 2, where those ulps may decide its bin or its side of 2."""
+    x, y = e[0] + e[1], e[0] - e[1]
+    n, eps = x.size, _EDGE_GUARD
+    if not n:
+        return np.zeros(HIST_NBINS + 2, np.intp), 0, 0
+    plus, minus = _lattice_counts(x, y), _lattice_counts(-x, -y)
+    # #(y > 2 - x_K) + #(y < -2 - x_K) over K, from a sorted y
+    lo, hi = np.searchsorted(np.sort(y), [[2 - x - eps, -2 - x - eps], [2 - x + eps, -2 - x + eps]])
+    if plus is None or minus is None or (lo != hi).any():
+        return None
+    counts = plus + minus
+    counts[0] = n * n - counts[1:].sum()
+    return counts, n * n - int(lo[0].sum()) + int(lo[1].sum()), n * n
 
 
 def write_histogram_csv(counts: np.ndarray, path: str | Path) -> None:

@@ -347,6 +347,67 @@ def test_sweep_counts_match_untiled_enumeration(monkeypatch, tile_rows):
     assert counts[-1] > 0 and above > 0  # overflow reached at nu = 1
 
 
+def _grid_counts(enumeration):
+    """The oracle of tile_counts: histogram and above-2 count of the whole (D, D) grid."""
+    s = chsh.s_combination(*enumeration.e)
+    return stats.histogram(s).tolist(), int(np.count_nonzero(s > 2.0)), s.size
+
+
+def _tile_fallbacks(monkeypatch):
+    """Record each enumeration that tile_counts streams through chsh.s_tiles."""
+    fallbacks = []
+    s_tiles = chsh.s_tiles
+
+    def recorded(enumeration):
+        fallbacks.append(enumeration)
+        return s_tiles(enumeration)
+
+    monkeypatch.setattr(chsh, "s_tiles", recorded)
+    return fallbacks
+
+
+def test_noiseless_counts_take_the_separable_path(monkeypatch):
+    """At the default D = 435, noiseless enumerations are binned from their
+    per-basis sums, never from tiles, and equal the whole-grid oracle."""
+    fallbacks = _tile_fallbacks(monkeypatch)
+    for seed in (5, 11, 12):
+        cfg = ExperimentConfig(seed=seed)
+        _, _, projectors = build_channel(cfg)
+        for nu in (0.0, 0.93, 1.0):
+            enum = chsh.enumerate_s(draw_alice_pair(cfg), projectors, nu)
+            counts, above, total = tile_counts([enum])
+            assert (counts.tolist(), above, total) == _grid_counts(enum)
+    assert not fallbacks
+
+
+def test_counts_on_bin_edges_fall_back_to_tiles(monkeypatch):
+    """E in multiples of 1/40 put S exactly on 0, 0.15, 2 and 3, or only on
+    the bin edges 0 and 0.15: the separable kernel declines them and the
+    tiles give the grid's counts."""
+    fallbacks = _tile_fallbacks(monkeypatch)
+    e = np.array([[0.0, 1.0, 0.075, 1.0, 1.0], [0.0, -1.0, 0.075, 0.5, -0.5]])
+    for cells, want in ((e, {0.0, 0.15, 2.0, 3.0}), (e[:, [0, 2]], {0.0, 0.15})):
+        enum = chsh.SEnumeration(np.arange(1, cells.shape[1] + 1), cells, None, ("A", "A'"))
+        assert set(chsh.s_combination(*cells).ravel().tolist()) >= want
+        assert stats.separable_counts(cells) is None
+        fallbacks.clear()
+        counts, above, total = tile_counts([enum])
+        assert (counts.tolist(), above, total) == _grid_counts(enum)
+        assert fallbacks == [enum]
+    # S in {0, 2} off every bin edge: the guard band at 2 alone declines it
+    monkeypatch.setattr(stats, "HIST_LO", 0.51)
+    assert stats.separable_counts(e[:, :2]) is None
+
+
+def test_noisy_low_count_counts_match_the_grid():
+    """About 125 counts per unit probability: E are ratios of small counts."""
+    cfg = ExperimentConfig(m_spatial=12, n_positions=4, integration_time=1.0, seed=3)
+    enum = chsh_enumeration(cfg)
+    assert enum.labels.size == 28
+    counts, above, total = tile_counts([enum])
+    assert (counts.tolist(), above, total) == _grid_counts(enum)
+
+
 def test_sweep_rejects_bad_nus(tmp_path, small_config, capsys):
     cases = [
         (["--nus", "0,2.5"], "visibility"),
@@ -421,8 +482,9 @@ def test_record_count_is_bounded_up_front(tmp_path, capsys):
 
 
 def test_chsh_and_sweep_never_build_a_grid(tmp_path, monkeypatch):
-    """Every S that chsh and sweep compute comes from s_combination calls of
-    at most _S_TILE_ROWS rows, at 276 Bob bases (more than 4 tiles)."""
+    """Every S that chsh computes comes from s_combination calls of at most
+    _S_TILE_ROWS rows, at 276 Bob bases (more than 4 tiles); sweep bins its
+    noiseless enumerations from per-basis sums and computes no S at all."""
     rows = []
     combine = chsh.s_combination
 
@@ -435,11 +497,14 @@ def test_chsh_and_sweep_never_build_a_grid(tmp_path, monkeypatch):
     config = tmp_path / "tiles.cfg"
     config.write_text("m_spatial = 40\nn_positions = 12\n")
     common = ["--config", str(config), "--seed", "1", "--out", str(tmp_path / "out")]
-    for argv in (["chsh"], ["chsh", "--noiseless"], ["sweep", "--alice-draws", "2"]):
+    for argv in (["chsh"], ["chsh", "--noiseless"]):
         rows.clear()
         assert main([*argv, *common]) == 0
         assert rows and max(rows) <= chsh._S_TILE_ROWS, argv
         assert sum(rows) % 276 == 0
+    rows.clear()
+    assert main(["sweep", "--alice-draws", "2", *common]) == 0
+    assert rows == []
 
 
 def test_tm_rejects_oversized_channel(tmp_path, capsys):

@@ -446,6 +446,15 @@ def test_histogram_edge_goes_to_upper_bin():
     assert histogram([2.0]).tolist() == want
 
 
+def test_histogram_edge_rule_is_float64_floor(tmp_path):
+    """The bin is floor((S - HIST_LO) / HIST_BIN_WIDTH) in float64, not the
+    printed edges: 0.15 / 0.05 < 3, so S = 0.15 counts in the 0.1,0.15 row."""
+    assert 0.15 / 0.05 < 3
+    path = tmp_path / "h.csv"
+    write_histogram_csv(histogram([0.15]), path)
+    assert path.read_text().splitlines()[4] == "0.1,0.15,1"
+
+
 def test_histogram_conservation_with_sentinels():
     rng = np.random.default_rng(48)
     values = rng.uniform(-1, 4, 10_000)
