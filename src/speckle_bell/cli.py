@@ -234,25 +234,6 @@ def chsh_enumeration(cfg: ExperimentConfig) -> chsh.SEnumeration:
     return stats.noisy_enumerate(alice_pair, projectors, cfg.visibility, cfg.acquisition)
 
 
-def tile_counts(enumerations):
-    """Histogram count vector, number of S above 2 and number of S over every
-    enumeration, each from :func:`stats.separable_counts` in O(D log D) or,
-    when that finds an S within its guard band of a bin edge or of 2, from
-    the :func:`chsh.s_tiles` of its S; no (D, D) grid is held."""
-    counts = stats.histogram(())
-    above = total = 0
-    for enumeration in enumerations:
-        part = stats.separable_counts(enumeration.e)
-        if part is not None:
-            counts, above, total = counts + part[0], above + part[1], total + part[2]
-            continue
-        for tile, _ in chsh.s_tiles(enumeration):
-            counts += stats.histogram(tile)
-            above += int(np.count_nonzero(tile > 2.0))
-            total += tile.size
-    return counts, above, total
-
-
 def cmd_chsh(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = run_dir(args.out, cfg.seed)
     print(f"stage: channel ({cfg.m_spatial} spatial modes, seed {cfg.seed})")
@@ -263,7 +244,7 @@ def cmd_chsh(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         f"{enumeration.skipped} skipped, {mode}, visibility {cfg.visibility:g})"
     )
     chsh.write_srecords_csv(enumeration, out / "srecords.csv")
-    counts, _, _ = tile_counts([enumeration])
+    counts, _ = stats.separable_counts(enumeration.e)
     stats.write_histogram_csv(counts, out / "histogram.csv")
     report = stats.certify_arrays(chsh.s_tiles(enumeration), enumeration.skipped)
     stats.write_report_json(report, out / "report.json")
@@ -321,8 +302,11 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     summary = ["nu,draws,records_per_draw,mean_fraction_above_2"]
     alice_pairs = [draw_alice_pair(cfg, draw) for draw in range(cfg.alice_draws)]
     for nu in nu_list:
-        enumerations = (chsh.enumerate_s(pair, projectors, nu) for pair in alice_pairs)
-        counts, above, total = tile_counts(enumerations)
+        counts, above, total = stats.histogram(()), 0, 0
+        for pair in alice_pairs:
+            e = chsh.enumerate_s(pair, projectors, nu).e
+            part, part_above = stats.separable_counts(e)
+            counts, above, total = counts + part, above + part_above, total + e.shape[1] ** 2
         path = out / f"sweep_hist_nu_{nu:g}.csv"
         stats.write_histogram_csv(counts / cfg.alice_draws, path)
         fraction = above / total if total else 0.0

@@ -1,6 +1,7 @@
 """Counting statistics: Poisson counts, per-basis E and variance for noisy
 enumerations over one count array, certification folded over S tiles, and
-histogramming; :func:`e_with_sigma` and :func:`s_with_sigma` are their oracles.
+histogramming, the S mostly binned from per-basis sums; :func:`e_with_sigma`
+and :func:`s_with_sigma` are their oracles.
 
 The detected-count error model follows standard shot-noise practice: each
 count n carries sigma = sqrt(n) and the variances of the four correlations in
@@ -21,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import chsh
 from .chsh import (
     MeasurementBasis,
     SEnumeration,
@@ -37,7 +39,8 @@ from .polarization import Projector
 # of 0.05 with one overflow bin above.  srecords.csv keeps every S for others.
 HIST_LO, HIST_BIN_WIDTH, HIST_NBINS = 0.0, 0.05, 60
 
-# separable_counts declines a pair this close to a bin edge (bin units) or to 2.
+# separable_counts bins a row from its S when it holds a pair this close to a bin
+# edge (bin units) or to 2.
 _EDGE_GUARD = 1e-9
 
 
@@ -207,12 +210,12 @@ def histogram(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.bincount(idx.astype(np.intp), minlength=HIST_NBINS + 2)
 
 
-def _lattice_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+def _lattice_counts(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`histogram` counts of floor(p_K + q_K') over all pairs (K, K'), for
-    p = (x - HIST_LO) / w and q = y / w, with entry 0 the pairs in bins below 0;
-    None when some p_K + q_K' lies within _EDGE_GUARD of an integer.  The bin
-    is floor(p_K) + floor(q_K') + [frac p_K + frac q_K' >= 1]: with K' sorted
-    by frac q, one searchsorted per row K splits off its carries."""
+    p = (x - HIST_LO) / w and q = y / w, with entry 0 the pairs in bins below 0,
+    and the mask of rows K that hold a p_K + q_K' within _EDGE_GUARD of an
+    integer.  The bin is floor(p_K) + floor(q_K') + [frac p_K + frac q_K' >= 1]:
+    with K' sorted by frac q, one searchsorted per row K splits off its carries."""
     p, q = (x - HIST_LO) / HIST_BIN_WIDTH, y / HIST_BIN_WIDTH
     fp, fq = np.floor(p), np.floor(q)
     rp, rq = p - fp, q - fq
@@ -223,8 +226,6 @@ def _lattice_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     np.cumsum(g[:, None] == np.arange(g.max() + 1), axis=0, out=cum[1:])
     c, eps = 1 - rp, _EDGE_GUARD
     lo, t, hi, zero = np.searchsorted(rq[order], [c - eps, c, c + eps, eps - rp])
-    if (lo != hi).any() or zero.any():
-        return None
     rows = np.argsort(fp)  # rows K grouped by floor(p)
     f = fp[rows]
     starts = np.flatnonzero(np.diff(f, prepend=-np.inf))
@@ -232,28 +233,38 @@ def _lattice_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     carry = np.diff(starts, append=x.size)[:, None] * cum[-1] - no_carry
     bins = f[starts, None] + (fq.min() + np.arange(cum.shape[1]))
     idx = np.clip([bins, bins + 1], -1, HIST_NBINS).astype(np.intp) + 1
-    return np.bincount(idx.ravel(), np.ravel([no_carry, carry]), HIST_NBINS + 2).astype(np.intp)
+    counts = np.bincount(idx.ravel(), np.ravel([no_carry, carry]), HIST_NBINS + 2)
+    return counts.astype(np.intp), (lo != hi) | (zero > 0)
 
 
-def separable_counts(e: np.ndarray) -> tuple[np.ndarray, int, int] | None:
-    """:func:`histogram` counts, the number of S above 2 and the number of S
-    over every (K, K') of a (2, D) per-basis E, in O(D log D + 82 D) from
-    x = E_A + E_A' and y = E_A - E_A': S(K, K') = |x_K + y_K'| to a few ulps
-    of :func:`chsh.s_combination`, one :func:`_lattice_counts` per sign.  None
-    when some S lies within _EDGE_GUARD bin units of a bin edge or within
-    _EDGE_GUARD of 2, where those ulps may decide its bin or its side of 2."""
+def separable_counts(e: np.ndarray) -> tuple[np.ndarray, int]:
+    """:func:`histogram` counts and the number of S above 2 over every (K, K')
+    of a (2, D) per-basis E, in O(D log D + 82 D) from x = E_A + E_A' and
+    y = E_A - E_A': S(K, K') = |x_K + y_K'| to a few ulps of
+    :func:`chsh.s_combination`, one :func:`_lattice_counts` per sign.  A row K
+    that holds an S within _EDGE_GUARD bin units of a bin edge or within
+    _EDGE_GUARD of 2, where those ulps may decide its bin or its side of 2, is
+    binned from its S instead, ``chsh._S_TILE_ROWS`` such rows at a time."""
     x, y = e[0] + e[1], e[0] - e[1]
     n, eps = x.size, _EDGE_GUARD
     if not n:
-        return np.zeros(HIST_NBINS + 2, np.intp), 0, 0
-    plus, minus = _lattice_counts(x, y), _lattice_counts(-x, -y)
-    # #(y > 2 - x_K) + #(y < -2 - x_K) over K, from a sorted y
+        return np.zeros(HIST_NBINS + 2, np.intp), 0
+    # #(y > 2 - x_K) + #(y < -2 - x_K) per row K, from a sorted y
     lo, hi = np.searchsorted(np.sort(y), [[2 - x - eps, -2 - x - eps], [2 - x + eps, -2 - x + eps]])
-    if plus is None or minus is None or (lo != hi).any():
-        return None
+    (plus, guard_plus), (minus, guard_minus) = _lattice_counts(x, y), _lattice_counts(-x, -y)
+    exact = guard_plus | guard_minus | (lo != hi).any(0)
+    keep = ~exact
+    if exact.any():
+        (plus, _), (minus, _) = _lattice_counts(x[keep], y), _lattice_counts(-x[keep], -y)
     counts = plus + minus
-    counts[0] = n * n - counts[1:].sum()
-    return counts, n * n - int(lo[0].sum()) + int(lo[1].sum()), n * n
+    counts[0] = np.count_nonzero(keep) * n - counts[1:].sum()
+    above = int((n - lo[0] + lo[1])[keep].sum())
+    rows = np.flatnonzero(exact)
+    for start in range(0, rows.size, chsh._S_TILE_ROWS):
+        s = chsh.s_combination(e[0], e[1], rows[start:start + chsh._S_TILE_ROWS])
+        counts += histogram(s)
+        above += int(np.count_nonzero(s > 2.0))
+    return counts, above
 
 
 def write_histogram_csv(counts: np.ndarray, path: str | Path) -> None:

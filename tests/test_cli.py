@@ -19,7 +19,6 @@ from speckle_bell.cli import (
     main,
     make_parser,
     parse_config_file,
-    tile_counts,
 )
 from speckle_bell.polarization import PoincareState, Projector
 
@@ -319,9 +318,10 @@ def test_sweep_ordering(tmp_path, small_config):
 
 @pytest.mark.parametrize("tile_rows", [1, 7, 10**6])
 def test_sweep_counts_match_untiled_enumeration(monkeypatch, tile_rows):
-    """Tile heights that split the D = 44 defined bases unevenly (1, 7) or not
-    at all give the counts of the untiled enumeration; the (dark, dark) basis
-    is dropped before tiling.  Bins over [0.5, 2.11) reach both sentinel rows."""
+    """Per-draw separable_counts summed as sweep sums them give the counts of
+    the untiled enumerations, at tile heights that split the D = 44 defined
+    bases unevenly (1, 7) or not at all; the (dark, dark) basis is dropped
+    before binning.  Bins over [0.5, 2.11) reach both sentinel rows."""
     monkeypatch.setattr(chsh, "_S_TILE_ROWS", tile_rows)
     for name, value in (("HIST_LO", 0.5), ("HIST_BIN_WIDTH", 0.07), ("HIST_NBINS", 23)):
         monkeypatch.setattr(stats, name, value)
@@ -331,81 +331,104 @@ def test_sweep_counts_match_untiled_enumeration(monkeypatch, tile_rows):
                    Projector(0j, PoincareState(1.0, 2.0))]
     alice_pairs = [draw_alice_pair(cfg, draw) for draw in range(3)]
     for nu in (0.0, 0.93, 1.0):
-        want_counts, want_above, want_total = 0, 0, 0
-        enums = [chsh.enumerate_s(alice_pair, projectors, nu) for alice_pair in alice_pairs]
-        for enum in enums:
+        want_counts, want_above = 0, 0
+        counts, above = stats.histogram(()), 0
+        for alice_pair in alice_pairs:
+            enum = chsh.enumerate_s(alice_pair, projectors, nu)
             assert enum.skipped == 45**2 - 44**2
             s = chsh.s_combination(*enum.e)  # the whole (D, D) grid
             want_counts = want_counts + stats.histogram(s)
             want_above += int(np.count_nonzero(s > 2.0))
-            want_total += s.size
-        counts, above, total = tile_counts(enums)
+            part, part_above = stats.separable_counts(enum.e)
+            counts, above = counts + part, above + part_above
         assert counts.dtype == want_counts.dtype and len(counts) == 25
         assert counts.tolist() == want_counts.tolist()
-        assert (above, total) == (want_above, want_total)
+        assert above == want_above
         assert counts[0] > 0  # underflow reached
     assert counts[-1] > 0 and above > 0  # overflow reached at nu = 1
 
 
-def _grid_counts(enumeration):
-    """The oracle of tile_counts: histogram and above-2 count of the whole (D, D) grid."""
-    s = chsh.s_combination(*enumeration.e)
-    return stats.histogram(s).tolist(), int(np.count_nonzero(s > 2.0)), s.size
+def _grid_counts(e):
+    """The oracle of separable_counts: histogram and above-2 count of the whole (D, D) grid."""
+    s = chsh.s_combination(*e)
+    return stats.histogram(s).tolist(), int(np.count_nonzero(s > 2.0))
 
 
-def _tile_fallbacks(monkeypatch):
-    """Record each enumeration that tile_counts streams through chsh.s_tiles."""
-    fallbacks = []
-    s_tiles = chsh.s_tiles
+def _guarded_rows(e, eps=1e-9):
+    """Oracle of the kernel's guard: the rows K that hold a K' where x_K + y_K'
+    or its negative lies within eps bin units of a bin edge, or where
+    S(K, K') = |x_K + y_K'| lies within eps of 2."""
+    v = np.add.outer(e[0] + e[1], e[0] - e[1])
+    near = [abs(u - np.round(u)) <= eps
+            for u in ((v - stats.HIST_LO) / stats.HIST_BIN_WIDTH,
+                      (-v - stats.HIST_LO) / stats.HIST_BIN_WIDTH)]
+    return (near[0] | near[1] | (abs(abs(v) - 2) <= eps)).any(1).nonzero()[0].tolist()
 
-    def recorded(enumeration):
-        fallbacks.append(enumeration)
-        return s_tiles(enumeration)
 
-    monkeypatch.setattr(chsh, "s_tiles", recorded)
-    return fallbacks
+def _exact_counts(monkeypatch, e):
+    """The number of S values that separable_counts of e passes to
+    stats.histogram at tile heights 1, 7 and 10**6, where each call takes at
+    most one tile and the counts equal the grid oracle's."""
+    want, histogram = _grid_counts(e), stats.histogram
+    calls, binned = [], []
+    monkeypatch.setattr(stats, "histogram", lambda s: calls.append(s.shape) or histogram(s))
+    for tile_rows in (1, 7, 10**6):
+        monkeypatch.setattr(chsh, "_S_TILE_ROWS", tile_rows)
+        calls.clear()
+        counts, above = stats.separable_counts(e)
+        assert (counts.tolist(), above) == want
+        assert all(rows <= tile_rows and cols == e.shape[1] for rows, cols in calls)
+        binned.append(sum(rows * cols for rows, cols in calls))
+    monkeypatch.setattr(stats, "histogram", histogram)
+    return binned
 
 
 def test_noiseless_counts_take_the_separable_path(monkeypatch):
     """At the default D = 435, noiseless enumerations are binned from their
-    per-basis sums, never from tiles, and equal the whole-grid oracle."""
-    fallbacks = _tile_fallbacks(monkeypatch)
+    per-basis sums, never from S, and equal the whole-grid oracle."""
     for seed in (5, 11, 12):
         cfg = ExperimentConfig(seed=seed)
         _, _, projectors = build_channel(cfg)
         for nu in (0.0, 0.93, 1.0):
             enum = chsh.enumerate_s(draw_alice_pair(cfg), projectors, nu)
-            counts, above, total = tile_counts([enum])
-            assert (counts.tolist(), above, total) == _grid_counts(enum)
-    assert not fallbacks
+            assert _exact_counts(monkeypatch, enum.e) == [0, 0, 0]
 
 
-def test_counts_on_bin_edges_fall_back_to_tiles(monkeypatch):
+def test_counts_on_bin_edges_bin_their_rows_exactly(monkeypatch):
     """E in multiples of 1/40 put S exactly on 0, 0.15, 2 and 3, or only on
-    the bin edges 0 and 0.15: the separable kernel declines them and the
-    tiles give the grid's counts."""
-    fallbacks = _tile_fallbacks(monkeypatch)
+    the bin edges 0 and 0.15: every row holds such an S, so every row is
+    binned from its S and the counts are the grid's."""
     e = np.array([[0.0, 1.0, 0.075, 1.0, 1.0], [0.0, -1.0, 0.075, 0.5, -0.5]])
     for cells, want in ((e, {0.0, 0.15, 2.0, 3.0}), (e[:, [0, 2]], {0.0, 0.15})):
-        enum = chsh.SEnumeration(np.arange(1, cells.shape[1] + 1), cells, None, ("A", "A'"))
+        d = cells.shape[1]
         assert set(chsh.s_combination(*cells).ravel().tolist()) >= want
-        assert stats.separable_counts(cells) is None
-        fallbacks.clear()
-        counts, above, total = tile_counts([enum])
-        assert (counts.tolist(), above, total) == _grid_counts(enum)
-        assert fallbacks == [enum]
-    # S in {0, 2} off every bin edge: the guard band at 2 alone declines it
+        assert _guarded_rows(cells) == list(range(d))
+        assert _exact_counts(monkeypatch, cells) == [d * d] * 3
+    # S in {0, 2} off every bin edge: the guard band at 2 alone sends both rows
     monkeypatch.setattr(stats, "HIST_LO", 0.51)
-    assert stats.separable_counts(e[:, :2]) is None
+    assert _guarded_rows(e[:, :2]) == [0, 1]
+    assert _exact_counts(monkeypatch, e[:, :2]) == [4] * 3
 
 
-def test_noisy_low_count_counts_match_the_grid():
-    """About 125 counts per unit probability: E are ratios of small counts."""
+def test_noisy_low_count_counts_match_the_grid(monkeypatch):
+    """About 125 counts per unit probability: E are ratios of small counts,
+    and some rows, not all, are binned from their S."""
     cfg = ExperimentConfig(m_spatial=12, n_positions=4, integration_time=1.0, seed=3)
-    enum = chsh_enumeration(cfg)
-    assert enum.labels.size == 28
-    counts, above, total = tile_counts([enum])
-    assert (counts.tolist(), above, total) == _grid_counts(enum)
+    e = chsh_enumeration(cfg).e
+    assert e.shape[1] == 28
+    rows = _guarded_rows(e)
+    assert 0 < len(rows) < 28
+    assert _exact_counts(monkeypatch, e) == [len(rows) * 28] * 3
+
+
+def test_noisy_default_counts_bin_few_rows_exactly(monkeypatch):
+    """At the defaults, E as ratios of counts put some S on a bin edge: only
+    the rows that hold one, a few of D = 435, are binned from their S."""
+    for seed in (1, 2, 3):
+        e = chsh_enumeration(ExperimentConfig(seed=seed)).e
+        rows = _guarded_rows(e)
+        assert e.shape[1] == 435 and 0 < len(rows) < 50
+        assert _exact_counts(monkeypatch, e) == [len(rows) * 435] * 3
 
 
 def test_sweep_rejects_bad_nus(tmp_path, small_config, capsys):

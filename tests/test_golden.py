@@ -1,5 +1,5 @@
 """Golden output digests: the SHA-256 of every file each subcommand writes
-under a small fixed config and seed.
+under a fixed config, small or the package defaults, and seed.
 
 Unlike the reproducibility tests, which compare two runs of the same code,
 these pin the bytes across code changes.  Every digest depends on the lit
@@ -42,6 +42,8 @@ visibility = 0.93
 """
 
 CASES = {
+    # The package defaults: D = 435 defined bases, 189,225 S values.
+    "chsh-default": ("", ["chsh"]),
     "chsh-noisy": (SMALL, ["chsh"]),
     "chsh-noiseless": (SMALL, ["chsh", "--noiseless"]),
     "chsh-separable-low-count": (SEPARABLE_LOW_COUNT, ["chsh"]),
@@ -62,6 +64,9 @@ CASES = {
 SEED = "1"
 
 GOLDEN = {
+    "chsh-default/histogram.csv": "6d1c5eef899582407fd838434e8cb8a747ee2a7a34f457b29c1a71db8affb1ee",
+    "chsh-default/report.json": "8ba9aac52c924e689b91d09c7e7eb8f128c04c8e2596f58d9d627e79c6d39257",
+    "chsh-default/srecords.csv": "2b075bdcef0cf44db1ce028fcef0a324ef3a65191e83bec3f9e2ea230d6c1d31",
     "chsh-noiseless/histogram.csv": "4c22ebdd30dcccb26b5910121d0656878e8da152b4ab1da503b4e469c3da5fa2",
     "chsh-noiseless/report.json": "08fe534fec094ca6a90db460ba68a62d862c9bf25e1d0d665cc9a30469b96edf",
     "chsh-noiseless/srecords.csv": "25dc79ebbb8e3bfa232bf2b1ec20a02bdb6a6bcca4badc651f1ec5cdc8cea70e",

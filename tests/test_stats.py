@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from speckle_bell import chsh
 from speckle_bell.cli import (
@@ -36,6 +37,7 @@ from speckle_bell.stats import (
     record_stream,
     s_with_sigma,
     sample_counts,
+    separable_counts,
     write_histogram_csv,
     write_report_json,
 )
@@ -498,3 +500,94 @@ def test_histogram_csv(tmp_path):
     rows = path.read_text().splitlines()[1:]
     assert rows[:3] == ["-inf,0,1.5", "0,0.05,3", "0.05,0.1,0"]
     assert rows[-1] == "3,inf,0.25"
+
+
+# ------------------------------------------------------ separable binning
+
+def grid_counts(e):
+    """The oracle of separable_counts: the histogram and above-2 count of
+    every S of the whole (D, D) grid."""
+    s = chsh.s_combination(*e)
+    return histogram(s).tolist(), int(np.count_nonzero(s > 2.0))
+
+
+def exact_rows(monkeypatch, e):
+    """The rows K that separable_counts(e) passes to chsh.s_combination."""
+    rows, combine = [], chsh.s_combination
+    monkeypatch.setattr(
+        chsh, "s_combination", lambda e_a, e_ap, k: rows.extend(k.tolist()) or combine(e_a, e_ap, k)
+    )
+    separable_counts(e)
+    monkeypatch.setattr(chsh, "s_combination", combine)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(0, 300),
+    kind=st.sampled_from(["ratio", "uniform", "zero"]),
+    max_total=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=0, kind="uniform", max_total=1, seed=0)
+@example(d=120, kind="zero", max_total=1, seed=0)  # every S is 0: every row is exact
+def test_separable_counts_match_the_grid(d, kind, max_total, seed):
+    """E are ratios n / t of small counts, t <= max_total (S often on a bin
+    edge or on 2), uniform floats, or all zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "ratio":
+        t = rng.integers(1, max_total, (2, d), endpoint=True)
+        e = rng.integers(-t, t, endpoint=True) / t
+    elif kind == "uniform":
+        e = rng.uniform(-1.0, 1.0, (2, d))
+    else:
+        e = np.zeros((2, d))
+    counts, above = separable_counts(e)
+    assert counts.dtype == np.intp and type(above) is int
+    assert (counts.tolist(), above) == grid_counts(e)
+
+
+def test_separable_counts_bin_only_guarded_rows_exactly(monkeypatch):
+    """At D = 2000, three planted rows hold an S that trips one guard each:
+    the carry band, the zero band (p and q whole numbers) and the band
+    at 2 alone.  Those three rows, and only they, are binned from their S."""
+    rng = np.random.default_rng(2024)
+    e = rng.uniform(-1.0, 1.0, (2, 2000))
+    e[:, 100] = 0.2, 0.13  # x = 0.33, y = 0.07: S(100, 100) = 0.4 with fractional p, q
+    e[:, 700] = 0.25, 0.25  # x = 0.5, y = 0: S(700, 700) = 0.5, p = 10 and q = 0
+    x, y = np.array([1.21, 0.0234567]), np.array([0.0123456, 0.79 + 3e-10])
+    e[:, 1300:1302] = (x + y) / 2, (x - y) / 2  # S(1300, 1301) = 2 + 3e-10
+    s = chsh.s_combination(*e)
+    assert (s[100, 100], s[700, 700]) == (0.4, 0.5) and 0 < s[1300, 1301] - 2 < 1e-9
+    assert abs(s[1300, 1301] / HIST_BIN_WIDTH - 40) > 1e-9  # off the bin edge's band
+    want = grid_counts(e)
+    assert exact_rows(monkeypatch, e) == [100, 700, 1300]
+    counts, above = separable_counts(e)
+    assert (counts.tolist(), above) == want
+
+
+def test_separable_counts_guard_both_signs(monkeypatch):
+    """x_0 / w = 23 and y_1 / w = 12 are each just below a whole number, so
+    frac p + frac q is nearly 2: S(0, 1) = 1.75 lies on a bin edge in neither
+    band of the lattice of x + y, only in the zero band of that of -x - y."""
+    e = np.array([[7 / 30, 17 / 30], [11 / 12, -1 / 30]])
+    p, q = (e[0] + e[1]) / HIST_BIN_WIDTH, (e[0] - e[1]) / HIST_BIN_WIDTH
+    assert 1 - 1e-12 < p[0] - math.floor(p[0]) < 1 and 1 - 1e-12 < q[1] - math.floor(q[1]) < 1
+    assert chsh.s_combination(*e)[0, 1] == 1.75
+    assert 0 in exact_rows(monkeypatch, e)
+    counts, above = separable_counts(e)
+    assert (counts.tolist(), above) == grid_counts(e)
+
+
+def test_separable_counts_at_64_positions(monkeypatch):
+    """Noiseless, n_positions = 64, seed 5: D = 8128 and 66 million S, in one
+    row of which some S lies in the guard band; the counts equal those of the
+    S tiles."""
+    enum = chsh_enumeration(ExperimentConfig(n_positions=64, seed=5, noiseless=True))
+    assert len(exact_rows(monkeypatch, enum.e)) == 1
+    want, above = histogram(()), 0
+    for tile, _ in s_tiles(enum):
+        want += histogram(tile)
+        above += int(np.count_nonzero(tile > 2.0))
+    counts, got_above = separable_counts(enum.e)
+    assert (counts.tolist(), got_above) == (want.tolist(), above)
