@@ -1,7 +1,7 @@
 """Counting statistics: Poisson counts, per-basis E and variance for noisy
 enumerations over one count array, certification folded over S tiles, and
-histogramming, the S mostly binned from per-basis sums; :func:`e_with_sigma`
-and :func:`s_with_sigma` are their oracles.
+histograms on bins from 0 with 2 as an edge, the S mostly binned from
+per-basis sums; :func:`e_with_sigma` and :func:`s_with_sigma` are their oracles.
 
 The detected-count error model follows standard shot-noise practice: each
 count n carries sigma = sqrt(n) and the variances of the four correlations in
@@ -37,10 +37,12 @@ from .polarization import Projector
 
 # The S histogram's bins: S lies in [0, 4], and the bins cover [0, 3) in steps
 # of 0.05 with one overflow bin above.  srecords.csv keeps every S for others.
-HIST_LO, HIST_BIN_WIDTH, HIST_NBINS = 0.0, 0.05, 60
+# 2 is the lower edge of bin _BIN_2.
+HIST_BIN_WIDTH, HIST_NBINS = 0.05, 60
+_BIN_2 = round(2 / HIST_BIN_WIDTH)
 
 # separable_counts bins a row from its S when it holds a pair this close to a bin
-# edge (bin units) or to 2.
+# edge, 2 among them, in bin units.
 _EDGE_GUARD = 1e-9
 
 
@@ -192,18 +194,17 @@ def certify_arrays(
 
 def histogram(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Histogram as one int count vector of length HIST_NBINS + 2: underflow,
-    the bins from HIST_LO up, overflow.
+    the bins from 0 up, overflow.
 
-    A value v goes to bin floor((v - HIST_LO) / HIST_BIN_WIDTH) computed in
-    float64, so a value on a printed edge may land in the bin below it:
-    0.15 / 0.05 is 2.9999999999999996, and S = 0.15 counts in [0.1, 0.15).
-    The counts always sum to the input size.
+    A value v goes to bin floor(v / HIST_BIN_WIDTH) computed in float64, so
+    a value on a printed edge may land in the bin below it: 0.15 / 0.05 is
+    2.9999999999999996, and S = 0.15 counts in [0.1, 0.15).  The counts
+    always sum to the input size.
     """
     vals = np.ravel(np.asarray(values, dtype=float))
     if np.isnan(vals).any():
         raise ValueError("histogram input contains NaN")
-    idx = vals - HIST_LO
-    np.divide(idx, HIST_BIN_WIDTH, out=idx)
+    idx = vals / HIST_BIN_WIDTH
     np.floor(idx, out=idx)
     np.clip(idx, -1, HIST_NBINS, out=idx)
     np.add(idx, 1, out=idx)
@@ -212,11 +213,12 @@ def histogram(values: Sequence[float] | np.ndarray) -> np.ndarray:
 
 def _lattice_counts(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`histogram` counts of floor(p_K + q_K') over all pairs (K, K'), for
-    p = (x - HIST_LO) / w and q = y / w, with entry 0 the pairs in bins below 0,
-    and the mask of rows K that hold a p_K + q_K' within _EDGE_GUARD of an
-    integer.  The bin is floor(p_K) + floor(q_K') + [frac p_K + frac q_K' >= 1]:
-    with K' sorted by frac q, one searchsorted per row K splits off its carries."""
-    p, q = (x - HIST_LO) / HIST_BIN_WIDTH, y / HIST_BIN_WIDTH
+    p = x / w and q = y / w, with entry 0 the pairs in bins below 0, and the
+    mask of rows K that hold a frac p_K + frac q_K' within _EDGE_GUARD of 0 or
+    1.  The bin is floor(p_K) + floor(q_K') + [frac p_K + frac q_K' >= 1]:
+    with K' sorted by frac q, one searchsorted per row K splits off its carries.
+    A sum of fractions just below 2 is in the zero band of -p and -q."""
+    p, q = x / HIST_BIN_WIDTH, y / HIST_BIN_WIDTH
     fp, fq = np.floor(p), np.floor(q)
     rp, rq = p - fp, q - fq
     order = np.argsort(rq)
@@ -241,29 +243,27 @@ def separable_counts(e: np.ndarray) -> tuple[np.ndarray, int]:
     """:func:`histogram` counts and the number of S above 2 over every (K, K')
     of a (2, D) per-basis E, in O(D log D + 82 D) from x = E_A + E_A' and
     y = E_A - E_A': S(K, K') = |x_K + y_K'| to a few ulps of
-    :func:`chsh.s_combination`, one :func:`_lattice_counts` per sign.  A row K
-    that holds an S within _EDGE_GUARD bin units of a bin edge or within
-    _EDGE_GUARD of 2, where those ulps may decide its bin or its side of 2, is
-    binned from its S instead, ``chsh._S_TILE_ROWS`` such rows at a time."""
+    :func:`chsh.s_combination`, one :func:`_lattice_counts` per sign; the S
+    above 2 are those in bins _BIN_2 and up.  A row K that holds an S within
+    _EDGE_GUARD bin units of a bin edge, where those ulps may decide its bin
+    or its side of 2, is binned from its S instead, ``chsh._S_TILE_ROWS``
+    such rows at a time."""
     x, y = e[0] + e[1], e[0] - e[1]
-    n, eps = x.size, _EDGE_GUARD
-    if not n:
+    if not x.size:
         return np.zeros(HIST_NBINS + 2, np.intp), 0
-    # #(y > 2 - x_K) + #(y < -2 - x_K) per row K, from a sorted y
-    lo, hi = np.searchsorted(np.sort(y), [[2 - x - eps, -2 - x - eps], [2 - x + eps, -2 - x + eps]])
     (plus, guard_plus), (minus, guard_minus) = _lattice_counts(x, y), _lattice_counts(-x, -y)
-    exact = guard_plus | guard_minus | (lo != hi).any(0)
-    keep = ~exact
+    exact = guard_plus | guard_minus
     if exact.any():
+        keep = ~exact
         (plus, _), (minus, _) = _lattice_counts(x[keep], y), _lattice_counts(-x[keep], -y)
     counts = plus + minus
-    counts[0] = np.count_nonzero(keep) * n - counts[1:].sum()
-    above = int((n - lo[0] + lo[1])[keep].sum())
+    counts[0] = 0  # S >= 0: each lattice's underflow holds the other sign's pairs
+    above = int(counts[_BIN_2 + 1:].sum())
     rows = np.flatnonzero(exact)
     for start in range(0, rows.size, chsh._S_TILE_ROWS):
         s = chsh.s_combination(e[0], e[1], rows[start:start + chsh._S_TILE_ROWS])
         counts += histogram(s)
-        above += int(np.count_nonzero(s > 2.0))
+        above += int(np.count_nonzero(s > 2.0))  # S = 2 is in bin _BIN_2
     return counts, above
 
 
@@ -271,8 +271,8 @@ def write_histogram_csv(counts: np.ndarray, path: str | Path) -> None:
     """Dump the count vector of a :func:`histogram` (or a mean of several) as
     ``bin_lo,bin_hi,count`` rows."""
     counts = np.asarray(counts).tolist()
-    lows = [HIST_LO + i * HIST_BIN_WIDTH for i in range(len(counts) - 1)]  # bins, overflow
-    edges = [(-math.inf, HIST_LO), *zip(lows, lows[1:]), (lows[-1], math.inf)]
+    lows = [i * HIST_BIN_WIDTH for i in range(len(counts) - 1)]  # bins, overflow
+    edges = [(-math.inf, 0), *zip(lows, lows[1:]), (lows[-1], math.inf)]
     lines = ["bin_lo,bin_hi,count"]
     lines += [f"{a:.12g},{b:.12g},{c:.12g}" for (a, b), c in zip(edges, counts)]
     Path(path).write_text("\n".join(lines) + "\n")

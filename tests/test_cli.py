@@ -321,9 +321,10 @@ def test_sweep_counts_match_untiled_enumeration(monkeypatch, tile_rows):
     """Per-draw separable_counts summed as sweep sums them give the counts of
     the untiled enumerations, at tile heights that split the D = 44 defined
     bases unevenly (1, 7) or not at all; the (dark, dark) basis is dropped
-    before binning.  Bins over [0.5, 2.11) reach both sentinel rows."""
+    before binning.  Bins of width 0.1 over [0, 2.1), with 2 on bin edge 20,
+    reach the overflow row and leave the underflow row empty."""
     monkeypatch.setattr(chsh, "_S_TILE_ROWS", tile_rows)
-    for name, value in (("HIST_LO", 0.5), ("HIST_BIN_WIDTH", 0.07), ("HIST_NBINS", 23)):
+    for name, value in (("HIST_BIN_WIDTH", 0.1), ("HIST_NBINS", 21), ("_BIN_2", 20)):
         monkeypatch.setattr(stats, name, value)
     cfg = ExperimentConfig(m_spatial=12, n_positions=4)
     _, _, projectors = build_channel(cfg)
@@ -341,10 +342,10 @@ def test_sweep_counts_match_untiled_enumeration(monkeypatch, tile_rows):
             want_above += int(np.count_nonzero(s > 2.0))
             part, part_above = stats.separable_counts(enum.e)
             counts, above = counts + part, above + part_above
-        assert counts.dtype == want_counts.dtype and len(counts) == 25
+        assert counts.dtype == want_counts.dtype and len(counts) == 23
         assert counts.tolist() == want_counts.tolist()
         assert above == want_above
-        assert counts[0] > 0  # underflow reached
+        assert counts[0] == 0  # no S below 0
     assert counts[-1] > 0 and above > 0  # overflow reached at nu = 1
 
 
@@ -356,13 +357,9 @@ def _grid_counts(e):
 
 def _guarded_rows(e, eps=1e-9):
     """Oracle of the kernel's guard: the rows K that hold a K' where x_K + y_K'
-    or its negative lies within eps bin units of a bin edge, or where
-    S(K, K') = |x_K + y_K'| lies within eps of 2."""
-    v = np.add.outer(e[0] + e[1], e[0] - e[1])
-    near = [abs(u - np.round(u)) <= eps
-            for u in ((v - stats.HIST_LO) / stats.HIST_BIN_WIDTH,
-                      (-v - stats.HIST_LO) / stats.HIST_BIN_WIDTH)]
-    return (near[0] | near[1] | (abs(abs(v) - 2) <= eps)).any(1).nonzero()[0].tolist()
+    lies within eps bin units of a bin edge, 2 among them."""
+    u = np.add.outer(e[0] + e[1], e[0] - e[1]) / stats.HIST_BIN_WIDTH
+    return (abs(u - np.round(u)) <= eps).any(1).nonzero()[0].tolist()
 
 
 def _exact_counts(monkeypatch, e):
@@ -404,10 +401,6 @@ def test_counts_on_bin_edges_bin_their_rows_exactly(monkeypatch):
         assert set(chsh.s_combination(*cells).ravel().tolist()) >= want
         assert _guarded_rows(cells) == list(range(d))
         assert _exact_counts(monkeypatch, cells) == [d * d] * 3
-    # S in {0, 2} off every bin edge: the guard band at 2 alone sends both rows
-    monkeypatch.setattr(stats, "HIST_LO", 0.51)
-    assert _guarded_rows(e[:, :2]) == [0, 1]
-    assert _exact_counts(monkeypatch, e[:, :2]) == [4] * 3
 
 
 def test_noisy_low_count_counts_match_the_grid(monkeypatch):
@@ -429,6 +422,17 @@ def test_noisy_default_counts_bin_few_rows_exactly(monkeypatch):
         rows = _guarded_rows(e)
         assert e.shape[1] == 435 and 0 < len(rows) < 50
         assert _exact_counts(monkeypatch, e) == [len(rows) * 435] * 3
+
+
+def test_separable_above_2_matches_the_report():
+    """chsh writes report.json's above_2 from its S tiles and discards the
+    above-2 count of separable_counts: at the defaults, noisy and noiseless,
+    the two agree."""
+    for seed in (1, 2, 3):
+        for noiseless in (False, True):
+            enum = chsh_enumeration(ExperimentConfig(seed=seed, noiseless=noiseless))
+            _, above = stats.separable_counts(enum.e)
+            assert above == stats.certify_arrays(chsh.s_tiles(enum)).above_2
 
 
 def test_sweep_rejects_bad_nus(tmp_path, small_config, capsys):

@@ -25,8 +25,8 @@ from speckle_bell.chsh import (
 from speckle_bell.polarization import PoincareState, Projector
 from speckle_bell.stats import (
     HIST_BIN_WIDTH,
-    HIST_LO,
     HIST_NBINS,
+    _BIN_2,
     AcquisitionConfig,
     CertificationReport,
     certify,
@@ -449,7 +449,7 @@ def test_histogram_edge_goes_to_upper_bin():
 
 
 def test_histogram_edge_rule_is_float64_floor(tmp_path):
-    """The bin is floor((S - HIST_LO) / HIST_BIN_WIDTH) in float64, not the
+    """The bin is floor(S / HIST_BIN_WIDTH) in float64, not the
     printed edges: 0.15 / 0.05 < 3, so S = 0.15 counts in the 0.1,0.15 row."""
     assert 0.15 / 0.05 < 3
     path = tmp_path / "h.csv"
@@ -470,7 +470,8 @@ def test_histogram_conservation_with_sentinels():
 
 
 def test_histogram_bin_count_for_default_range(tmp_path):
-    assert (HIST_LO, HIST_BIN_WIDTH, HIST_NBINS) == (0.0, 0.05, 60)
+    assert (HIST_BIN_WIDTH, HIST_NBINS, _BIN_2) == (0.05, 60, 40)
+    assert histogram([2.0])[1 + _BIN_2] == 1  # 2 opens bin _BIN_2
     path = tmp_path / "h.csv"
     write_histogram_csv(histogram([]), path)
     lines = path.read_text().splitlines()
@@ -548,9 +549,11 @@ def test_separable_counts_match_the_grid(d, kind, max_total, seed):
 
 
 def test_separable_counts_bin_only_guarded_rows_exactly(monkeypatch):
-    """At D = 2000, three planted rows hold an S that trips one guard each:
-    the carry band, the zero band (p and q whole numbers) and the band
-    at 2 alone.  Those three rows, and only they, are binned from their S."""
+    """At D = 2000, two planted rows hold an S that trips one guard each:
+    the carry band and the zero band (p and q whole numbers).  Those two
+    rows, and only they, are binned from their S; a third planted S,
+    2 + 3e-10, lies outside the guard band of bin edge 2, and the lattice
+    counts it above 2."""
     rng = np.random.default_rng(2024)
     e = rng.uniform(-1.0, 1.0, (2, 2000))
     e[:, 100] = 0.2, 0.13  # x = 0.33, y = 0.07: S(100, 100) = 0.4 with fractional p, q
@@ -561,9 +564,28 @@ def test_separable_counts_bin_only_guarded_rows_exactly(monkeypatch):
     assert (s[100, 100], s[700, 700]) == (0.4, 0.5) and 0 < s[1300, 1301] - 2 < 1e-9
     assert abs(s[1300, 1301] / HIST_BIN_WIDTH - 40) > 1e-9  # off the bin edge's band
     want = grid_counts(e)
-    assert exact_rows(monkeypatch, e) == [100, 700, 1300]
+    assert exact_rows(monkeypatch, e) == [100, 700]
     counts, above = separable_counts(e)
     assert (counts.tolist(), above) == want
+
+
+def test_separable_counts_near_2(monkeypatch):
+    """S(K, K') = x_K + y_K' planted at 2, 2 +- 1 ulp, 2 +- 2 ulps and
+    2 +- 3e-10, at both signs of E.  The rows of the ulp pairs lie in the
+    guard band of bin edge 2 and are binned from their S; the 3e-10 pairs,
+    6e-9 bin units off it, are binned by the lattice."""
+    up, down = np.nextafter(2.0, 3.0) - 2.0, 2.0 - np.nextafter(2.0, 1.0)
+    targets = [2.0, 2 + up, 2 - down, 2 + 2 * up, 2 - 2 * down, 2 + 3e-10, 2 - 3e-10]
+    x = (1100 + 10 * np.arange(7)) / 1024  # x / w in (30, 31) and far from whole numbers
+    y = np.array(targets) - x  # exact: x has 11 significant bits
+    e = np.zeros((2, 14))
+    e[:, :7] = x / 2  # x_K = x, y_K = 0
+    e[0, 7:] = y  # x_K' = y_K' = y
+    assert [chsh.s_combination(*e)[k, 7 + k] for k in range(7)] == targets
+    for sign in (1, -1):
+        assert exact_rows(monkeypatch, sign * e) == [0, 1, 2, 3, 4]
+        counts, above = separable_counts(sign * e)
+        assert (counts.tolist(), above) == grid_counts(sign * e)
 
 
 def test_separable_counts_guard_both_signs(monkeypatch):
