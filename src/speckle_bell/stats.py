@@ -1,6 +1,6 @@
 """Counting statistics: Poisson counts, per-basis E and variance for noisy
 enumerations over one count array, certification folded over S tiles, and
-histograms on bins from 0 with 2 as an edge, the S mostly binned from
+histograms on bins from 0 with 2 as an edge, mostly from one lattice of
 per-basis sums; :func:`e_with_sigma` and :func:`s_with_sigma` are their oracles.
 
 The detected-count error model follows standard shot-noise practice: each
@@ -211,53 +211,43 @@ def histogram(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.bincount(idx.astype(np.intp), minlength=HIST_NBINS + 2)
 
 
-def _lattice_counts(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`histogram` counts of floor(p_K + q_K') over all pairs (K, K'), for
-    p = x / w and q = y / w, with entry 0 the pairs in bins below 0, and the
-    mask of rows K that hold a frac p_K + frac q_K' within _EDGE_GUARD of 0 or
-    1.  The bin is floor(p_K) + floor(q_K') + [frac p_K + frac q_K' >= 1]:
-    with K' sorted by frac q, one searchsorted per row K splits off its carries.
-    A sum of fractions just below 2 is in the zero band of -p and -q."""
-    p, q = x / HIST_BIN_WIDTH, y / HIST_BIN_WIDTH
-    fp, fq = np.floor(p), np.floor(q)
-    rp, rq = p - fp, q - fq
-    order = np.argsort(rq)
-    g = (fq - fq.min()).astype(np.intp)[order]
-    # cum[i, j]: the K' among the i of smallest frac q with floor(q) = fq.min() + j
-    cum = np.zeros((y.size + 1, g.max() + 1), np.intp)
-    np.cumsum(g[:, None] == np.arange(g.max() + 1), axis=0, out=cum[1:])
-    c, eps = 1 - rp, _EDGE_GUARD
-    lo, t, hi, zero = np.searchsorted(rq[order], [c - eps, c, c + eps, eps - rp])
-    rows = np.argsort(fp)  # rows K grouped by floor(p)
-    f = fp[rows]
-    starts = np.flatnonzero(np.diff(f, prepend=-np.inf))
-    no_carry = np.add.reduceat(cum[t[rows]], starts, axis=0)
-    carry = np.diff(starts, append=x.size)[:, None] * cum[-1] - no_carry
-    bins = f[starts, None] + (fq.min() + np.arange(cum.shape[1]))
-    idx = np.clip([bins, bins + 1], -1, HIST_NBINS).astype(np.intp) + 1
-    counts = np.bincount(idx.ravel(), np.ravel([no_carry, carry]), HIST_NBINS + 2)
-    return counts.astype(np.intp), (lo != hi) | (zero > 0)
-
-
 def separable_counts(e: np.ndarray) -> tuple[np.ndarray, int]:
     """:func:`histogram` counts and the number of S above 2 over every (K, K')
     of a (2, D) per-basis E, in O(D log D + 82 D) from x = E_A + E_A' and
     y = E_A - E_A': S(K, K') = |x_K + y_K'| to a few ulps of
-    :func:`chsh.s_combination`, one :func:`_lattice_counts` per sign; the S
-    above 2 are those in bins _BIN_2 and up.  A row K that holds an S within
-    _EDGE_GUARD bin units of a bin edge, where those ulps may decide its bin
-    or its side of 2, is binned from its S instead, ``chsh._S_TILE_ROWS``
-    such rows at a time."""
+    :func:`chsh.s_combination`.  With p = x / w and q = y / w, one lattice
+    counts the signed bins b = floor(p_K) + floor(q_K') + [frac p_K +
+    frac q_K' >= 1]: with K' sorted by frac q, one searchsorted per row K
+    splits off its carries.  Signed bin b >= 0 is S bin b, b < 0 is S bin
+    -b - 1, and the S above 2 are those in bins _BIN_2 and up.  A row K that
+    holds a frac p_K + frac q_K' within _EDGE_GUARD of 0, 1 or 2, where
+    x_K + y_K' is that close to a bin edge and the ulps may decide its bin or
+    its side of 2, is binned from its S instead, ``chsh._S_TILE_ROWS`` such
+    rows at a time."""
     x, y = e[0] + e[1], e[0] - e[1]
     if not x.size:
         return np.zeros(HIST_NBINS + 2, np.intp), 0
-    (plus, guard_plus), (minus, guard_minus) = _lattice_counts(x, y), _lattice_counts(-x, -y)
-    exact = guard_plus | guard_minus
-    if exact.any():
-        keep = ~exact
-        (plus, _), (minus, _) = _lattice_counts(x[keep], y), _lattice_counts(-x[keep], -y)
-    counts = plus + minus
-    counts[0] = 0  # S >= 0: each lattice's underflow holds the other sign's pairs
+    p, q = x / HIST_BIN_WIDTH, y / HIST_BIN_WIDTH
+    fp, fq = np.floor(p), np.floor(q)
+    rp, rq = p - fp, q - fq
+    order = np.argsort(rq)
+    c, eps = 1 - rp, _EDGE_GUARD
+    lo, t, hi, zero, top = np.searchsorted(rq[order], [c - eps, c, c + eps, eps - rp, c + 1 - eps])
+    exact = (zero > 0) | (lo != hi) | (top < y.size)
+    g = (fq - fq.min()).astype(np.intp)[order]
+    # cum[i, j]: the K' among the i of smallest frac q with floor(q) = fq.min() + j
+    cum = np.zeros((y.size + 1, g.max() + 1), np.intp)
+    np.cumsum(g[:, None] == np.arange(g.max() + 1), axis=0, out=cum[1:])
+    rows = np.flatnonzero(~exact)
+    rows = rows[np.argsort(fp[rows])]  # unguarded rows K grouped by floor(p)
+    f = fp[rows]
+    starts = np.flatnonzero(np.diff(f, prepend=-np.inf))
+    no_carry = np.add.reduceat(cum[t[rows]], starts, axis=0)
+    carry = np.diff(starts, append=rows.size)[:, None] * cum[-1] - no_carry
+    bins = f[starts, None] + (fq.min() + np.arange(cum.shape[1]))
+    b = np.array([bins, bins + 1])  # signed bins of the no-carry and carry pairs
+    idx = np.minimum(np.where(b < 0, -b - 1, b), HIST_NBINS).astype(np.intp) + 1
+    counts = np.bincount(idx.ravel(), np.ravel([no_carry, carry]), HIST_NBINS + 2).astype(np.intp)
     above = int(counts[_BIN_2 + 1:].sum())
     rows = np.flatnonzero(exact)
     for start in range(0, rows.size, chsh._S_TILE_ROWS):

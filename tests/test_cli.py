@@ -349,92 +349,6 @@ def test_sweep_counts_match_untiled_enumeration(monkeypatch, tile_rows):
     assert counts[-1] > 0 and above > 0  # overflow reached at nu = 1
 
 
-def _grid_counts(e):
-    """The oracle of separable_counts: histogram and above-2 count of the whole (D, D) grid."""
-    s = chsh.s_combination(*e)
-    return stats.histogram(s).tolist(), int(np.count_nonzero(s > 2.0))
-
-
-def _guarded_rows(e, eps=1e-9):
-    """Oracle of the kernel's guard: the rows K that hold a K' where x_K + y_K'
-    lies within eps bin units of a bin edge, 2 among them."""
-    u = np.add.outer(e[0] + e[1], e[0] - e[1]) / stats.HIST_BIN_WIDTH
-    return (abs(u - np.round(u)) <= eps).any(1).nonzero()[0].tolist()
-
-
-def _exact_counts(monkeypatch, e):
-    """The number of S values that separable_counts of e passes to
-    stats.histogram at tile heights 1, 7 and 10**6, where each call takes at
-    most one tile and the counts equal the grid oracle's."""
-    want, histogram = _grid_counts(e), stats.histogram
-    calls, binned = [], []
-    monkeypatch.setattr(stats, "histogram", lambda s: calls.append(s.shape) or histogram(s))
-    for tile_rows in (1, 7, 10**6):
-        monkeypatch.setattr(chsh, "_S_TILE_ROWS", tile_rows)
-        calls.clear()
-        counts, above = stats.separable_counts(e)
-        assert (counts.tolist(), above) == want
-        assert all(rows <= tile_rows and cols == e.shape[1] for rows, cols in calls)
-        binned.append(sum(rows * cols for rows, cols in calls))
-    monkeypatch.setattr(stats, "histogram", histogram)
-    return binned
-
-
-def test_noiseless_counts_take_the_separable_path(monkeypatch):
-    """At the default D = 435, noiseless enumerations are binned from their
-    per-basis sums, never from S, and equal the whole-grid oracle."""
-    for seed in (5, 11, 12):
-        cfg = ExperimentConfig(seed=seed)
-        _, _, projectors = build_channel(cfg)
-        for nu in (0.0, 0.93, 1.0):
-            enum = chsh.enumerate_s(draw_alice_pair(cfg), projectors, nu)
-            assert _exact_counts(monkeypatch, enum.e) == [0, 0, 0]
-
-
-def test_counts_on_bin_edges_bin_their_rows_exactly(monkeypatch):
-    """E in multiples of 1/40 put S exactly on 0, 0.15, 2 and 3, or only on
-    the bin edges 0 and 0.15: every row holds such an S, so every row is
-    binned from its S and the counts are the grid's."""
-    e = np.array([[0.0, 1.0, 0.075, 1.0, 1.0], [0.0, -1.0, 0.075, 0.5, -0.5]])
-    for cells, want in ((e, {0.0, 0.15, 2.0, 3.0}), (e[:, [0, 2]], {0.0, 0.15})):
-        d = cells.shape[1]
-        assert set(chsh.s_combination(*cells).ravel().tolist()) >= want
-        assert _guarded_rows(cells) == list(range(d))
-        assert _exact_counts(monkeypatch, cells) == [d * d] * 3
-
-
-def test_noisy_low_count_counts_match_the_grid(monkeypatch):
-    """About 125 counts per unit probability: E are ratios of small counts,
-    and some rows, not all, are binned from their S."""
-    cfg = ExperimentConfig(m_spatial=12, n_positions=4, integration_time=1.0, seed=3)
-    e = chsh_enumeration(cfg).e
-    assert e.shape[1] == 28
-    rows = _guarded_rows(e)
-    assert 0 < len(rows) < 28
-    assert _exact_counts(monkeypatch, e) == [len(rows) * 28] * 3
-
-
-def test_noisy_default_counts_bin_few_rows_exactly(monkeypatch):
-    """At the defaults, E as ratios of counts put some S on a bin edge: only
-    the rows that hold one, a few of D = 435, are binned from their S."""
-    for seed in (1, 2, 3):
-        e = chsh_enumeration(ExperimentConfig(seed=seed)).e
-        rows = _guarded_rows(e)
-        assert e.shape[1] == 435 and 0 < len(rows) < 50
-        assert _exact_counts(monkeypatch, e) == [len(rows) * 435] * 3
-
-
-def test_separable_above_2_matches_the_report():
-    """chsh writes report.json's above_2 from its S tiles and discards the
-    above-2 count of separable_counts: at the defaults, noisy and noiseless,
-    the two agree."""
-    for seed in (1, 2, 3):
-        for noiseless in (False, True):
-            enum = chsh_enumeration(ExperimentConfig(seed=seed, noiseless=noiseless))
-            _, above = stats.separable_counts(enum.e)
-            assert above == stats.certify_arrays(chsh.s_tiles(enum)).above_2
-
-
 def test_sweep_rejects_bad_nus(tmp_path, small_config, capsys):
     cases = [
         (["--nus", "0,2.5"], "visibility"),

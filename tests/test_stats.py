@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from speckle_bell import chsh
+from speckle_bell import chsh, stats
 from speckle_bell.cli import (
     ConfigError,
     ExperimentConfig,
@@ -523,22 +523,55 @@ def exact_rows(monkeypatch, e):
     return rows
 
 
+def guarded_rows(e, eps=1e-9):
+    """Oracle of the kernel's guard: the rows K that hold a K' where x_K + y_K'
+    lies within eps bin units of a bin edge, 2 among them."""
+    u = np.add.outer(e[0] + e[1], e[0] - e[1]) / HIST_BIN_WIDTH
+    return (abs(u - np.round(u)) <= eps).any(1).nonzero()[0].tolist()
+
+
+def exact_counts(monkeypatch, e):
+    """The number of S values that separable_counts of e passes to
+    stats.histogram at tile heights 1, 7 and 10**6, where each call takes at
+    most one tile and the counts equal the grid oracle's."""
+    want, real = grid_counts(e), stats.histogram
+    calls, binned = [], []
+    monkeypatch.setattr(stats, "histogram", lambda s: calls.append(s.shape) or real(s))
+    for tile_rows in (1, 7, 10**6):
+        monkeypatch.setattr(chsh, "_S_TILE_ROWS", tile_rows)
+        calls.clear()
+        counts, above = separable_counts(e)
+        assert (counts.tolist(), above) == want
+        assert all(rows <= tile_rows and cols == e.shape[1] for rows, cols in calls)
+        binned.append(sum(rows * cols for rows, cols in calls))
+    monkeypatch.setattr(stats, "histogram", real)
+    return binned
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     d=st.integers(0, 300),
-    kind=st.sampled_from(["ratio", "uniform", "zero"]),
+    kind=st.sampled_from(["ratio", "nudged", "uniform", "zero"]),
     max_total=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(d=0, kind="uniform", max_total=1, seed=0)
 @example(d=120, kind="zero", max_total=1, seed=0)  # every S is 0: every row is exact
+@example(d=3, kind="nudged", max_total=1, seed=75)  # a sum of fractions ulps below 2
 def test_separable_counts_match_the_grid(d, kind, max_total, seed):
     """E are ratios n / t of small counts, t <= max_total (S often on a bin
-    edge or on 2), uniform floats, or all zero."""
+    edge or on 2); multiples of 1/40 or 1/80 nudged by at most 6e-11, whose
+    frac p and frac q may lie ulps below 1 and their sum ulps below 2, where
+    only the top guard band tells the pair's bin; uniform floats; or all
+    zero."""
     rng = np.random.default_rng(seed)
     if kind == "ratio":
         t = rng.integers(1, max_total, (2, d), endpoint=True)
         e = rng.integers(-t, t, endpoint=True) / t
+    elif kind == "nudged":
+        den = rng.choice([40, 80])
+        nudge = rng.choice([0.0, 1e-17, -1e-17, 2.2e-16, -2.2e-16, 1e-11, -1e-11, 6e-11], (2, d))
+        e = np.clip(rng.integers(-den, den, (2, d), endpoint=True) / den + nudge, -1.0, 1.0)
     elif kind == "uniform":
         e = rng.uniform(-1.0, 1.0, (2, d))
     else:
@@ -549,10 +582,11 @@ def test_separable_counts_match_the_grid(d, kind, max_total, seed):
 
 
 def test_separable_counts_bin_only_guarded_rows_exactly(monkeypatch):
-    """At D = 2000, two planted rows hold an S that trips one guard each:
-    the carry band and the zero band (p and q whole numbers).  Those two
-    rows, and only they, are binned from their S; a third planted S,
-    2 + 3e-10, lies outside the guard band of bin edge 2, and the lattice
+    """At D = 2000, two planted rows hold an S that trips one guard band
+    each: frac p + frac q = 1 (the carry band) and p, q whole numbers (the
+    zero band, frac p + frac q = 0).  Those two rows, and only they, are
+    binned from their S; a third planted S, 2 + 3e-10, has frac p + frac q
+    6e-9 above 1, outside the three bands (0, 1 and 2), and the lattice
     counts it above 2."""
     rng = np.random.default_rng(2024)
     e = rng.uniform(-1.0, 1.0, (2, 2000))
@@ -590,15 +624,18 @@ def test_separable_counts_near_2(monkeypatch):
 
 def test_separable_counts_guard_both_signs(monkeypatch):
     """x_0 / w = 23 and y_1 / w = 12 are each just below a whole number, so
-    frac p + frac q is nearly 2: S(0, 1) = 1.75 lies on a bin edge in neither
-    band of the lattice of x + y, only in the zero band of that of -x - y."""
+    frac p_0 + frac q_1 is nearly 2: S(0, 1) = 1.75 lies on a bin edge in the
+    top band (2), not in the zero band (0) or the carry band (1).  Under -E
+    both fractions are nearly 0, in the zero band.  At either sign row 0 is
+    binned from its S."""
     e = np.array([[7 / 30, 17 / 30], [11 / 12, -1 / 30]])
     p, q = (e[0] + e[1]) / HIST_BIN_WIDTH, (e[0] - e[1]) / HIST_BIN_WIDTH
     assert 1 - 1e-12 < p[0] - math.floor(p[0]) < 1 and 1 - 1e-12 < q[1] - math.floor(q[1]) < 1
     assert chsh.s_combination(*e)[0, 1] == 1.75
-    assert 0 in exact_rows(monkeypatch, e)
-    counts, above = separable_counts(e)
-    assert (counts.tolist(), above) == grid_counts(e)
+    for sign in (1, -1):
+        assert 0 in exact_rows(monkeypatch, sign * e)
+        counts, above = separable_counts(sign * e)
+        assert (counts.tolist(), above) == grid_counts(sign * e)
 
 
 def test_separable_counts_at_64_positions(monkeypatch):
@@ -613,3 +650,58 @@ def test_separable_counts_at_64_positions(monkeypatch):
         above += int(np.count_nonzero(tile > 2.0))
     counts, got_above = separable_counts(enum.e)
     assert (counts.tolist(), got_above) == (want.tolist(), above)
+
+
+def test_noiseless_counts_take_the_separable_path(monkeypatch):
+    """At the default D = 435, noiseless enumerations are binned from their
+    per-basis sums, never from S, and equal the whole-grid oracle."""
+    for seed in (5, 11, 12):
+        cfg = ExperimentConfig(seed=seed)
+        _, _, projectors = build_channel(cfg)
+        for nu in (0.0, 0.93, 1.0):
+            enum = enumerate_s(draw_alice_pair(cfg), projectors, nu)
+            assert exact_counts(monkeypatch, enum.e) == [0, 0, 0]
+
+
+def test_counts_on_bin_edges_bin_their_rows_exactly(monkeypatch):
+    """E in multiples of 1/40 put S exactly on 0, 0.15, 2 and 3, or only on
+    the bin edges 0 and 0.15: every row holds such an S, so every row is
+    binned from its S and the counts are the grid's."""
+    e = np.array([[0.0, 1.0, 0.075, 1.0, 1.0], [0.0, -1.0, 0.075, 0.5, -0.5]])
+    for cells, want in ((e, {0.0, 0.15, 2.0, 3.0}), (e[:, [0, 2]], {0.0, 0.15})):
+        d = cells.shape[1]
+        assert set(chsh.s_combination(*cells).ravel().tolist()) >= want
+        assert guarded_rows(cells) == list(range(d))
+        assert exact_counts(monkeypatch, cells) == [d * d] * 3
+
+
+def test_noisy_low_count_counts_match_the_grid(monkeypatch):
+    """About 125 counts per unit probability: E are ratios of small counts,
+    and some rows, not all, are binned from their S."""
+    cfg = ExperimentConfig(m_spatial=12, n_positions=4, integration_time=1.0, seed=3)
+    e = chsh_enumeration(cfg).e
+    assert e.shape[1] == 28
+    rows = guarded_rows(e)
+    assert 0 < len(rows) < 28
+    assert exact_counts(monkeypatch, e) == [len(rows) * 28] * 3
+
+
+def test_noisy_default_counts_bin_few_rows_exactly(monkeypatch):
+    """At the defaults, E as ratios of counts put some S on a bin edge: only
+    the rows that hold one, a few of D = 435, are binned from their S."""
+    for seed in (1, 2, 3):
+        e = chsh_enumeration(ExperimentConfig(seed=seed)).e
+        rows = guarded_rows(e)
+        assert e.shape[1] == 435 and 0 < len(rows) < 50
+        assert exact_counts(monkeypatch, e) == [len(rows) * 435] * 3
+
+
+def test_separable_above_2_matches_the_report():
+    """chsh writes report.json's above_2 from its S tiles and discards the
+    above-2 count of separable_counts: at the defaults, noisy and noiseless,
+    the two agree."""
+    for seed in (1, 2, 3):
+        for noiseless in (False, True):
+            enum = chsh_enumeration(ExperimentConfig(seed=seed, noiseless=noiseless))
+            _, above = separable_counts(enum.e)
+            assert above == certify_arrays(s_tiles(enum)).above_2
